@@ -19,6 +19,12 @@ echo "== regression gate (lattice/router/geom) =="
 go test -race -run \
   'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption' \
   ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/
+echo "== golden quality gate: dense1..5 =="
+# Routed nets, wirelength, lattice fingerprint, tile count, stage split
+# and total A* effort of every Table-I circuit against
+# internal/router/testdata/golden. Tier-1 checks dense1..3; dense4..5
+# (about a minute without the race detector) only run here.
+go test -count=1 -run 'TestGoldenDense' ./internal/router/ -golden-full
 echo "== serving gate: codec + metrics + serve semantics (-race) =="
 # Queue saturation → 429, per-job deadlines, graceful drain, concurrent
 # determinism, codec round-trips, and the metrics registry's concurrent
