@@ -11,13 +11,12 @@ import "rdlroute/internal/geom"
 //
 // Sharing discipline: blocker lists are copied at exact length (the only
 // in-place-growing state — a shared backing array would let sibling
-// clones append over each other), tile/bbox/center slices are shared
-// read-only (rebuilds replace the slice, never mutate it), and the
-// per-cell generation counters are copied so the clone's cache
-// invalidation starts from the original's state. The corridor arc caches
-// and the corridor journal/memo are dropped: arcs rebuild lazily and
-// deterministically, and a scratch run must not observe — or pollute — a
-// cross-run memo.
+// clones append over each other), tile/bbox/component-label slices are
+// shared read-only (rebuilds replace the slice, never mutate it), and the
+// per-cell generation counters and reach masks are copied by value, so
+// the clone's cache invalidation starts from the original's state. The
+// tracer and the corridor journal/memo are dropped: a scratch run is
+// unobserved and must not observe — or pollute — a cross-run memo.
 func (m *Model) CloneScratch() *Model {
 	cp := &Model{
 		D:      m.D,
@@ -29,9 +28,9 @@ func (m *Model) CloneScratch() *Model {
 	cp.blockers = make([][][]geom.Oct8, layers)
 	cp.tiles = make([][][]geom.Oct8, layers)
 	cp.tileBB = make([][][]geom.Rect, layers)
-	cp.centers = make([][][]geom.Point, layers)
 	cp.gen = make([][]uint32, layers)
-	cp.adj = make([][]*cellAdj, layers)
+	cp.comp = make([][][]uint8, layers)
+	cp.reach = make([][]cellReach, layers)
 	for l := 0; l < layers; l++ {
 		cp.blockers[l] = make([][]geom.Oct8, n)
 		for c, b := range m.blockers[l] {
@@ -43,9 +42,9 @@ func (m *Model) CloneScratch() *Model {
 		}
 		cp.tiles[l] = append([][]geom.Oct8(nil), m.tiles[l]...)
 		cp.tileBB[l] = append([][]geom.Rect(nil), m.tileBB[l]...)
-		cp.centers[l] = append([][]geom.Point(nil), m.centers[l]...)
 		cp.gen[l] = append([]uint32(nil), m.gen[l]...)
-		cp.adj[l] = make([]*cellAdj, n)
+		cp.comp[l] = append([][]uint8(nil), m.comp[l]...)
+		cp.reach[l] = append([]cellReach(nil), m.reach[l]...)
 	}
 	return cp
 }

@@ -73,102 +73,99 @@ func (m *Model) adjacent(a geom.Oct8, abb geom.Rect, b geom.Oct8, bbb geom.Rect)
 	return geom.Max64(in.XHi-in.XLo, in.YHi-in.YLo) >= m.minTouch()
 }
 
-// arc is one cached same-layer corridor adjacency: the neighbor tile and
-// the move cost. Costs are measured between CELL centers, not tile
-// centers: the corridor's only downstream consumer is the cell-granular
-// region mask, so pricing moves on the fixed cell grid makes the chosen
-// cell chain a canonical function of tile connectivity — re-partitioning
-// a cell's tiles (an ECO edit shifting a clearance band) cannot nudge
-// equal-cost choices through center drift, only a genuine connectivity
-// change can alter the corridor.
-type arc struct {
-	cell, idx int
-	tcomp     int // target tile's intra-cell component id
-	cost      float64
+// maxComp caps the intra-cell components the corridor graph tells apart.
+// Component ids at or above it share the last slot; the resulting (rare,
+// optimistic) merges can only cost a masked search a fallback, never a
+// wrong route.
+const maxComp = 8
+
+// cellReach caches the cross-cell moves of one (layer, cell) in the
+// corridor graph, one mask set per ring slot: slot (dy+1)*3 + (dx+1)
+// addresses the neighbour at offset (dx, dy), and slot 4 (the cell
+// itself) stays empty, as do slots off the grid. mask[s][comp] has bit
+// rcomp set when some tile of component comp shares a usable boundary
+// with some tile of the neighbour's component rcomp.
+//
+// A slot depends on the tiles of exactly two cells, so it carries both
+// generations: own for the cell (shared by all slots) and gen[s] for the
+// neighbour. A re-partition therefore rebuilds only the slots facing the
+// changed cell — never the whole ring, as a per-cell cache keyed on all
+// nine generations would. Generations start at 1 on a cell's first
+// build, so gen[s] == 0 marks a slot that was never built.
+type cellReach struct {
+	own  uint32
+	gen  [9]uint32
+	mask [9][maxComp]uint8
 }
 
-// cellAdj caches the outgoing arcs of every tile in one cell. It is valid
-// while no cell in the ring (the cell plus its eight neighbors) has been
-// re-partitioned; ringGen records each ring cell's generation at build
-// time so validation is a handful of integer compares.
-type cellAdj struct {
-	ring    []int
-	ringGen []uint32
-	arcs    [][]arc
-	comp    []int // per-tile intra-cell connectivity component id
-}
-
-// cellArcs returns the per-tile arc lists for the cell, rebuilding the
-// cache when any ring cell was re-partitioned since the last build. This
-// turns corridor-graph expansion from O(ring tiles · adjacency test) per
-// A* pop into an amortized array walk: tile adjacency is geometric and
-// only changes when a committed net re-partitions a nearby cell.
-func (m *Model) cellArcs(layer, cell int) [][]arc {
-	return m.adjEntry(layer, cell).arcs
-}
-
-// adjEntry returns the validated (or rebuilt) adjacency cache entry for the
-// cell: arc lists plus the per-tile component labeling.
-func (m *Model) adjEntry(layer, cell int) *cellAdj {
-	if e := m.adj[layer][cell]; e != nil && m.arcsValid(layer, e) {
-		return e
+// reachOf returns the cell's reach masks, rebuilding each slot whose
+// neighbour (or the cell itself) was re-partitioned since the slot's last
+// build.
+func (m *Model) reachOf(layer, cell int) *cellReach {
+	m.Tiles(layer, cell) // bring this cell's generation up to date
+	r := &m.reach[layer][cell]
+	if g := m.gen[layer][cell]; r.own != g {
+		r.own, r.gen = g, [9]uint32{}
 	}
-	e := m.buildArcs(layer, cell)
-	m.adj[layer][cell] = e
-	return e
-}
-
-func (m *Model) arcsValid(layer int, e *cellAdj) bool {
-	for k, rc := range e.ring {
-		m.Tiles(layer, rc) // force a rebuild so the generation is current
-		if m.gen[layer][rc] != e.ringGen[k] {
-			return false
+	cx, cy := cell%m.CellsX, cell/m.CellsX
+	for s := range r.gen {
+		nx, ny := cx+s%3-1, cy+s/3-1
+		if s == 4 || nx < 0 || ny < 0 || nx >= m.CellsX || ny >= m.CellsY {
+			continue
+		}
+		rc := ny*m.CellsX + nx
+		m.Tiles(layer, rc)
+		if g := m.gen[layer][rc]; r.gen[s] != g {
+			r.mask[s] = m.buildReach(layer, cell, rc)
+			r.gen[s] = g
 		}
 	}
-	return true
+	return r
 }
 
-func (m *Model) buildArcs(layer, cell int) *cellAdj {
-	tiles := m.Tiles(layer, cell)
-	bbs := m.TileBBs(layer, cell)
-	center := m.cellBox(cell).Center()
-	e := &cellAdj{ring: m.neighborCells(cell), arcs: make([][]arc, len(tiles))}
-	comps := map[int][]int{cell: m.components(layer, cell)}
-	e.comp = comps[cell]
+// buildReach computes one reach-mask slot: which components of rc each
+// component of cell can step into. A (component, neighbour-component)
+// bit, once set, needs no further adjacency tests.
+func (m *Model) buildReach(layer, cell, rc int) [maxComp]uint8 {
+	tiles, bbs, comp := m.Tiles(layer, cell), m.TileBBs(layer, cell), m.compOf(layer, cell)
+	rTiles, rBBs, rComp := m.Tiles(layer, rc), m.TileBBs(layer, rc), m.compOf(layer, rc)
+	var mask [maxComp]uint8
+	tests := int64(0)
 	for i := range tiles {
-		// Ring order then index order, matching the seed's per-pop emit
-		// order so heap tie-breaking (and thus chosen corridors) is
-		// unchanged.
-		for _, rc := range e.ring {
-			rTiles := m.Tiles(layer, rc)
-			rBBs := m.TileBBs(layer, rc)
-			if _, ok := comps[rc]; !ok {
-				comps[rc] = m.components(layer, rc)
+		for j := range rTiles {
+			bit := uint8(1) << rComp[j]
+			if mask[comp[i]]&bit != 0 {
+				continue
 			}
-			cost := geom.OctDist(center, m.cellBox(rc).Center())
-			for i2 := range rTiles {
-				if rc == cell && i2 == i {
-					continue
-				}
-				if m.adjacent(tiles[i], bbs[i], rTiles[i2], rBBs[i2]) {
-					e.arcs[i] = append(e.arcs[i], arc{cell: rc, idx: i2, tcomp: comps[rc][i2], cost: cost})
-				}
+			tests++
+			if m.adjacent(tiles[i], bbs[i], rTiles[j], rBBs[j]) {
+				mask[comp[i]] |= bit
 			}
 		}
 	}
-	e.ringGen = make([]uint32, len(e.ring))
-	for k, rc := range e.ring {
-		e.ringGen[k] = m.gen[layer][rc]
+	m.reachRebuilds++
+	m.adjTests += tests
+	return mask
+}
+
+// compOf returns the cell's per-tile component labels, computing them on
+// first use after each re-partition of the cell.
+func (m *Model) compOf(layer, cell int) []uint8 {
+	m.Tiles(layer, cell) // a rebuild drops the stale labels
+	if c := m.comp[layer][cell]; c != nil {
+		return c
 	}
-	return e
+	c := m.components(layer, cell)
+	m.comp[layer][cell] = c
+	return c
 }
 
 // components labels the cell's tiles with intra-cell connectivity
 // component ids: two tiles share an id iff they are linked by a chain of
 // usable boundaries within this cell alone. Ids are assigned in tile-index
-// order (component of the lowest-indexed tile is 0, and so on), reading
-// only this cell's tiles.
-func (m *Model) components(layer, cell int) []int {
+// order (component of the lowest-indexed tile is 0, and so on) and clamped
+// to maxComp-1, reading only this cell's tiles.
+func (m *Model) components(layer, cell int) []uint8 {
 	tiles := m.Tiles(layer, cell)
 	bbs := m.TileBBs(layer, cell)
 	n := len(tiles)
@@ -176,36 +173,37 @@ func (m *Model) components(layer, cell int) []int {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
+	tests := int64(0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
+			ri, rj := find(i), find(j)
+			if ri == rj {
+				continue
+			}
+			tests++
 			if m.adjacent(tiles[i], bbs[i], tiles[j], bbs[j]) {
-				ri, rj := find(i), find(j)
-				if ri != rj {
-					parent[rj] = ri
-				}
+				parent[rj] = ri
 			}
 		}
 	}
-	comp := make([]int, n)
+	m.adjTests += tests
+	comp := make([]uint8, n)
+	label := make([]int, n) // root -> id+1; 0 = unlabelled
 	next := 0
-	label := make(map[int]int, n)
 	for i := 0; i < n; i++ {
 		r := find(i)
-		c, ok := label[r]
-		if !ok {
-			c = next
+		if label[r] == 0 {
 			next++
-			label[r] = c
+			label[r] = next
 		}
-		comp[i] = c
+		comp[i] = uint8(min(label[r]-1, maxComp-1))
 	}
 	return comp
 }
@@ -299,7 +297,11 @@ func (m *Model) ProofValid(p *CorridorProof, sites []ViaSite) bool {
 	return p.e.valid(m.cj, m.cj.ensureSiteHashes(m, sites))
 }
 
-func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLayer int, sites []ViaSite, viaCost float64, wantProof bool) ([]TileRef, bool, *CorridorProof) {
+func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLayer int, sites []ViaSite, viaCost float64, wantProof bool) (path []TileRef, ok bool, proof *CorridorProof) {
+	expanded := 0
+	if m.tr != nil {
+		defer func() { m.traceSearch(ok, expanded) }()
+	}
 	// Footprints are tracked for the memo and for proofs alike; a journal
 	// attached without a memo tracks only when a proof was asked for.
 	track := m.cj != nil && (m.cj.memo != nil || wantProof)
@@ -315,7 +317,9 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 	if m.cj != nil && m.cj.memo != nil {
 		ckey = m.corKeyFor(from, fromLayer, to, toLayer, viaCost)
 		if e, hit := m.cj.memo.lookup(ckey, m.cj, siteHash); hit {
-			var proof *CorridorProof
+			// Replay the recorded effort so a traced run reads the same
+			// corridor.* stream as a live search would have produced.
+			expanded = e.expanded
 			if wantProof {
 				proof = &CorridorProof{e: e}
 			}
@@ -341,7 +345,7 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 		if !track {
 			return nil
 		}
-		e := m.cj.snapshotEntry(siteHash, ok, path)
+		e := m.cj.snapshotEntry(siteHash, ok, path, expanded)
 		if m.cj.memo != nil {
 			m.cj.memo.store(ckey, e)
 		}
@@ -369,67 +373,38 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 	// States are (layer, cell, component): the component factor keeps the
 	// graph honest about cells whose free space is internally split — a
 	// corridor may pass through a walled cell only on the side its entry
-	// tile can actually reach. Component ids above the cap share the last
-	// slot; the resulting (rare, optimistic) merges can only cost a masked
-	// search a fallback, never a wrong route.
-	const maxComp = 8
-	clampC := func(c int) int {
-		if c >= maxComp {
-			return maxComp - 1
-		}
-		return c
-	}
-	stateOf := func(l, c, comp int) int { return (l*ncells+c)*maxComp + clampC(comp) }
-	compAt := func(l int, ref TileRef) int {
-		e := m.adjEntry(l, ref.Cell)
-		if ref.Idx < len(e.comp) {
-			return e.comp[ref.Idx]
-		}
-		return 0
-	}
+	// tile can actually reach (labels are clamped to maxComp).
+	stateOf := func(l, c, comp int) int { return (l*ncells+c)*maxComp + comp }
+	compAt := func(l int, ref TileRef) int { return int(m.compOf(l, ref.Cell)[ref.Idx]) }
 	startID := stateOf(startRef.Layer, startRef.Cell, compAt(startRef.Layer, startRef))
 	goalID := stateOf(goalRef.Layer, goalRef.Cell, compAt(goalRef.Layer, goalRef))
 
 	expand := func(u int, emit func(int, float64)) {
+		expanded++
 		lc := u / maxComp
 		l, c, comp := lc/ncells, lc%ncells, u%maxComp
 		if track {
 			// Footprint: expanding here reads the ring's tiles (through the
-			// arc cache) on this layer and this cell's site list.
+			// reach masks) on this layer and this cell's site list.
 			m.fpMarkRing(l, c)
 			m.cj.spMark(c)
 		}
-		// Cross-cell connectivity from the generation-validated arc cache:
-		// (rc, rcomp) is reachable when any tile of this component has an
-		// arc into that component of rc. Emit in ring order for
-		// deterministic tie-breaking.
-		ring := m.neighborCells(c)
-		var reach [9 * maxComp]bool
-		e := m.adjEntry(l, c)
-		for i := range e.arcs {
-			if i < len(e.comp) && clampC(e.comp[i]) != comp {
-				continue
-			}
-			for _, a := range e.arcs[i] {
-				if a.cell == c {
-					continue
-				}
-				for k, rc := range ring {
-					if rc == a.cell {
-						reach[k*maxComp+clampC(a.tcomp)] = true
-						break
-					}
-				}
-			}
-		}
+		// Cross-cell moves from the reach masks: (rc, rcomp) is reachable
+		// when any tile of this component shares a usable boundary with a
+		// tile of rc's component rcomp. Emit in ring-slot order, then
+		// component order, for deterministic tie-breaking.
+		r := m.reachOf(l, c)
 		center := m.cellBox(c).Center()
-		for k, rc := range ring {
-			if rc == c {
+		cx, cy := c%m.CellsX, c/m.CellsX
+		for s := range r.mask {
+			bits := r.mask[s][comp]
+			if bits == 0 {
 				continue
 			}
+			rc := (cy+s/3-1)*m.CellsX + cx + s%3 - 1
 			cost := geom.OctDist(center, m.cellBox(rc).Center())
-			for rcomp := 0; rcomp < maxComp; rcomp++ {
-				if reach[k*maxComp+rcomp] {
+			for rcomp := 0; bits != 0; rcomp, bits = rcomp+1, bits>>1 {
+				if bits&1 != 0 {
 					emit((l*ncells+rc)*maxComp+rcomp, cost)
 				}
 			}
@@ -438,7 +413,7 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 		// free space of this component and of the target layer.
 		for _, v := range siteByCell[c] {
 			ref, ok := m.TileAt(l, v.P)
-			if !ok || ref.Cell != c || clampC(compAt(l, ref)) != comp {
+			if !ok || ref.Cell != c || compAt(l, ref) != comp {
 				continue
 			}
 			for _, nl := range []int{l - 1, l + 1} {
@@ -459,7 +434,7 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 	h := func(u int) float64 {
 		lc := u / maxComp
 		l, c := lc/ncells, lc%ncells
-		// Cell-center based, matching the arc costs: the estimate must not
+		// Cell-center based, matching the move costs: the estimate must not
 		// read tile geometry or it would reintroduce the center-drift
 		// sensitivity the cell graph removes.
 		d := geom.OctDist(m.cellBox(c).Center(), to)
@@ -469,15 +444,15 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 		}
 		return d*0.5 + float64(dl)*viaCost*0.5
 	}
-	path, _, ok := graphs.AStar(m.D.WireLayers*ncells*maxComp,
+	ids, _, found := graphs.AStar(m.D.WireLayers*ncells*maxComp,
 		[]graphs.StartState{{State: startID}},
 		func(u int) bool { return u == goalID },
 		expand, h)
-	if !ok {
+	if !found {
 		return nil, false, corStore(false, nil)
 	}
-	out := make([]TileRef, 0, len(path))
-	for i, id := range path {
+	out := make([]TileRef, 0, len(ids))
+	for i, id := range ids {
 		l, c := id/maxComp/ncells, id/maxComp%ncells
 		// Collapse component moves within one (layer, cell): the mask is
 		// cell-granular, so duplicates carry no information.

@@ -10,9 +10,9 @@ import (
 // graph's counterpart of the lattice search memo (internal/lattice memo.go).
 //
 // Every observable the corridor A* reads is a pure function of per-(layer,
-// cell) blocker lists: Tiles, TileBBs, TileCenters and the corridor arcs are
-// all derived from the blockers of a cell and its ring, and the per-cell via
-// sites are an explicit input. The model therefore keeps a journal — one
+// cell) blocker lists: Tiles, TileBBs, the component labels and the reach
+// masks are all derived from the blockers of a cell and its ring, and the
+// per-cell via sites are an explicit input. The model therefore keeps a journal — one
 // order-sensitive content hash per (layer, cell), folded over every blocker
 // the cell ever received — and a recorded corridor search stores the hashes
 // of every (layer, cell) whose content it read plus the via-site content of
@@ -58,8 +58,9 @@ func (m *CorridorMemo) SizeBytes() int64 { return m.bytes }
 type corKey struct{ a, b uint64 }
 
 type corEntry struct {
-	ok   bool
-	path []TileRef
+	ok       bool
+	path     []TileRef
+	expanded int // corridor states the recorded search expanded
 	// cells/hashes: journal content of every (layer, cell) the search read,
 	// addressed as layer*ncells+cell.
 	cells  []int32
@@ -282,9 +283,9 @@ func (cj *corJournal) fpReset() {
 }
 
 // fpMarkRing records that the search read the content of the cell's ring on
-// layers [layer−1, layer+1]: tile expansion reads the ring's tiles, arcs and
-// centers on its own layer, and via moves probe tiles and centers one layer
-// up and down.
+// layers [layer−1, layer+1]: tile expansion reads the ring's tiles and
+// reach masks on its own layer, and via moves probe tiles and component
+// labels one layer up and down.
 func (m *Model) fpMarkRing(layer, cell int) {
 	cj := m.cj
 	n := m.CellsX * m.CellsY
@@ -316,8 +317,8 @@ func (cj *corJournal) spMark(cell int) {
 }
 
 // snapshotEntry freezes the footprint scratch into a memo entry.
-func (cj *corJournal) snapshotEntry(siteHash []uint64, ok bool, path []TileRef) *corEntry {
-	e := &corEntry{ok: ok}
+func (cj *corJournal) snapshotEntry(siteHash []uint64, ok bool, path []TileRef, expanded int) *corEntry {
+	e := &corEntry{ok: ok, expanded: expanded}
 	if len(path) > 0 {
 		e.path = make([]TileRef, len(path))
 		copy(e.path, path)

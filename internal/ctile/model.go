@@ -36,18 +36,23 @@ type Model struct {
 	tiles [][][]geom.Oct8
 	// tileBB mirrors tiles with cached bounding boxes for quick rejects.
 	tileBB [][][]geom.Rect
-	// centers mirrors tiles with cached tile centers (corridor arc costs
-	// and the corridor heuristic both need them on every A* pop).
-	centers [][][]geom.Point
-	// gen[layer][cell] counts re-partitions of the cell, validating adj.
+	// gen[layer][cell] counts re-partitions of the cell, validating reach.
 	gen [][]uint32
-	// adj[layer][cell] caches every tile's same-layer corridor arcs; see
-	// cellArcs. nil means never built; entries self-validate against the
-	// generation of each cell in their ring.
-	adj [][]*cellAdj
+	// comp[layer][cell] caches the cell's per-tile component labels (see
+	// compOf); nil means not computed since the last re-partition.
+	comp [][][]uint8
+	// reach[layer][cell] caches the corridor graph's cross-cell moves, one
+	// mask set per ring neighbour; see reachOf.
+	reach [][]cellReach
 	// minDim: tiles thinner than this in bounding box are dropped (too
 	// narrow for any wire).
 	minDim int64
+
+	// tr, when non-nil, receives corridor-search effort; see SetTracer.
+	// reachRebuilds and adjTests accumulate between two searches.
+	tr            obs.Tracer
+	reachRebuilds int64
+	adjTests      int64
 
 	// cj, when non-nil, journals per-cell blocker content and memoizes
 	// corridor searches across runs; see memo.go. Strictly observational.
@@ -73,16 +78,16 @@ func NewModel(d *design.Design, cells int) *Model {
 	m.blockers = make([][][]geom.Oct8, d.WireLayers)
 	m.tiles = make([][][]geom.Oct8, d.WireLayers)
 	m.tileBB = make([][][]geom.Rect, d.WireLayers)
-	m.centers = make([][][]geom.Point, d.WireLayers)
 	m.gen = make([][]uint32, d.WireLayers)
-	m.adj = make([][]*cellAdj, d.WireLayers)
+	m.comp = make([][][]uint8, d.WireLayers)
+	m.reach = make([][]cellReach, d.WireLayers)
 	for l := range m.blockers {
 		m.blockers[l] = make([][]geom.Oct8, n)
 		m.tiles[l] = make([][]geom.Oct8, n)
 		m.tileBB[l] = make([][]geom.Rect, n)
-		m.centers[l] = make([][]geom.Point, n)
 		m.gen[l] = make([]uint32, n)
-		m.adj[l] = make([]*cellAdj, n)
+		m.comp[l] = make([][]uint8, n)
+		m.reach[l] = make([]cellReach, n)
 	}
 	for _, o := range d.Obstacles {
 		m.addBlocker(o.Layer, geom.OctFromRect(o.Box).Grow(m.clear))
@@ -186,21 +191,18 @@ func (m *Model) Tiles(layer, cell int) []geom.Oct8 {
 	t := m.buildCell(layer, cell)
 	if t == nil {
 		// Distinguish "built, empty" from "dirty": a nil result would be
-		// rebuilt on every call, bumping gen and invalidating the arc
-		// caches of the whole ring each time.
+		// rebuilt on every call, bumping gen and invalidating the reach
+		// masks of the whole ring each time.
 		t = []geom.Oct8{}
 	}
 	m.tiles[layer][cell] = t
 	bb := make([]geom.Rect, len(t))
-	ct := make([]geom.Point, len(t))
 	for i := range t {
 		bb[i] = geom.Rect{X0: t[i].XLo, Y0: t[i].YLo, X1: t[i].XHi, Y1: t[i].YHi}
-		ct[i] = t[i].Center()
 	}
 	m.tileBB[layer][cell] = bb
-	m.centers[layer][cell] = ct
 	m.gen[layer][cell]++
-	m.adj[layer][cell] = nil
+	m.comp[layer][cell] = nil
 	return t
 }
 
@@ -211,7 +213,7 @@ func (m *Model) Tiles(layer, cell int) []geom.Oct8 {
 // caches are identical to what lazy Tiles calls would have produced. Call
 // it only while no other goroutine uses the model; afterwards the model
 // is warm but remains single-goroutine (via insertion and the corridor
-// arc caches still mutate lazily).
+// graph caches still mutate lazily).
 func (m *Model) BuildAll(ctx context.Context, workers int) error {
 	cells := m.CellsX * m.CellsY
 	return par.ForEach(ctx, workers, len(m.blockers)*cells, func(i int) error {
@@ -224,12 +226,6 @@ func (m *Model) BuildAll(ctx context.Context, workers int) error {
 func (m *Model) TileBBs(layer, cell int) []geom.Rect {
 	m.Tiles(layer, cell)
 	return m.tileBB[layer][cell]
-}
-
-// TileCenters returns the cached tile centers parallel to Tiles.
-func (m *Model) TileCenters(layer, cell int) []geom.Point {
-	m.Tiles(layer, cell)
-	return m.centers[layer][cell]
 }
 
 // buildCell performs frame partitioning then octagonal-tile subtraction
@@ -326,6 +322,33 @@ func (m *Model) TileCount(layer int) int {
 		total += len(m.Tiles(layer, c))
 	}
 	return total
+}
+
+// SetTracer attaches an observability tracer for corridor-search effort:
+// corridor.searches, corridor.failures and a corridor.expanded
+// observation per FindCorridor call, plus the ctile.reach_rebuilds and
+// ctile.adjacency_tests spent keeping the corridor graph current.
+// Disabled tracers are dropped so the search never pays for them.
+func (m *Model) SetTracer(t obs.Tracer) {
+	if t != nil && t.Enabled() {
+		m.tr = t
+	} else {
+		m.tr = nil
+	}
+	m.reachRebuilds, m.adjTests = 0, 0
+}
+
+// traceSearch publishes one corridor search's effort, and the corridor
+// graph upkeep it paid for, to the attached tracer.
+func (m *Model) traceSearch(ok bool, expanded int) {
+	m.tr.Count("corridor.searches", 1)
+	if !ok {
+		m.tr.Count("corridor.failures", 1)
+	}
+	m.tr.Observe("corridor.expanded", float64(expanded))
+	m.tr.Count("ctile.reach_rebuilds", m.reachRebuilds)
+	m.tr.Count("ctile.adjacency_tests", m.adjTests)
+	m.reachRebuilds, m.adjTests = 0, 0
 }
 
 // TraceStats emits one "ctile.layer" event per wire layer — tile count

@@ -2,9 +2,11 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"rdlroute/internal/design"
+	"rdlroute/internal/layout"
 	"rdlroute/internal/obs"
 )
 
@@ -93,6 +95,57 @@ func TestObsNilTracerLeavesResultBare(t *testing.T) {
 	}
 	if res.Obs != nil {
 		t.Error("Result.Obs set without a tracer")
+	}
+}
+
+// TestObsCorridorCounters checks the corridor-graph effort counters: one
+// corridor search per stage-4 net, its expansions observed, and the tile
+// adjacency tests and reach-mask rebuilds that kept the graph current
+// reported beside them. Attaching the tracer must leave the routed
+// result byte-identical to an untraced run.
+func TestObsCorridorCounters(t *testing.T) {
+	d := smallDesign()
+	c := obs.NewCollector()
+	opts := DefaultOptions()
+	opts.Tracer = c
+	res, fp, err := RouteFingerprint(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, bareFp, err := RouteFingerprint(context.Background(), d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traced, untraced bytes.Buffer
+	if err := layout.Format(&traced, res.Layout); err != nil {
+		t.Fatal(err)
+	}
+	if err := layout.Format(&untraced, bare.Layout); err != nil {
+		t.Fatal(err)
+	}
+	if fp != bareFp || !bytes.Equal(traced.Bytes(), untraced.Bytes()) || res.Wirelength != bare.Wirelength {
+		t.Errorf("tracer changed the result: fingerprint %x vs %x, wirelength %v vs %v, layout bytes equal %v",
+			fp, bareFp, res.Wirelength, bare.Wirelength, bytes.Equal(traced.Bytes(), untraced.Bytes()))
+	}
+
+	stage4 := res.TotalNets - res.ConcurrentRouted
+	if stage4 == 0 {
+		t.Fatal("no stage-4 nets; the design no longer exercises the corridor search")
+	}
+	if n := c.Counter("corridor.searches"); n != int64(stage4) {
+		t.Errorf("corridor.searches = %d, want one per stage-4 net (%d)", n, stage4)
+	}
+	if f, s := c.Counter("corridor.failures"), c.Counter("corridor.searches"); f < 0 || f > s {
+		t.Errorf("corridor.failures = %d of %d searches", f, s)
+	}
+	snap := c.Snapshot()
+	if e := snap.Dists["corridor.expanded"]; e.Count != stage4 || e.Sum <= 0 {
+		t.Errorf("corridor.expanded: %d observations summing %v, want %d with positive effort", e.Count, e.Sum, stage4)
+	}
+	for _, name := range []string{"ctile.reach_rebuilds", "ctile.adjacency_tests"} {
+		if _, ok := snap.Counters[name]; !ok || c.Counter(name) <= 0 {
+			t.Errorf("counter %s = %d, want it present and positive", name, c.Counter(name))
+		}
 	}
 }
 

@@ -278,6 +278,7 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	// Stage 3: Routing graph construction (octagonal tiles, via insertion).
 	end = obs.Stage(tr, "graph")
 	model := ctile.NewModel(d, opts.GlobalCells)
+	model.SetTracer(tr)
 	model.AttachMemo(opts.CorridorMemo)
 	if opts.Speculative && opts.CorridorMemo == nil {
 		model.AttachJournal()
