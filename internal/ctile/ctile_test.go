@@ -204,3 +204,49 @@ func TestTileBBsMatchTiles(t *testing.T) {
 		}
 	}
 }
+
+// TestCellsTouchingMatchesCellBox maps every coordinate of the Table-I
+// outlines to a cell and checks it is the lowest-index cell whose CellBox
+// contains the coordinate, on both axes.
+func TestCellsTouchingMatchesCellBox(t *testing.T) {
+	for _, spec := range design.DenseSuite() {
+		d, err := design.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewModel(d, 30)
+		o := d.Outline
+		bad := 0
+		for x := o.X0; x <= o.X1; x++ {
+			p := geom.Pt(x, o.Y0)
+			got := m.cellsTouching(geom.RectOf(p, p))
+			want := 0
+			for m.CellBox(want).X1 < x {
+				want++
+			}
+			if len(got) != 1 || got[0] != want {
+				bad++
+				if bad <= 3 {
+					t.Errorf("%s: x=%d maps to cells %v, want [%d] (box %v)", spec.Name, x, got, want, m.CellBox(want))
+				}
+			}
+		}
+		for y := o.Y0; y <= o.Y1; y++ {
+			p := geom.Pt(o.X0, y)
+			got := m.cellsTouching(geom.RectOf(p, p))
+			want := 0
+			for m.CellBox(want).Y1 < y {
+				want += m.CellsX
+			}
+			if len(got) != 1 || got[0] != want {
+				bad++
+				if bad <= 3 {
+					t.Errorf("%s: y=%d maps to cells %v, want [%d] (box %v)", spec.Name, y, got, want, m.CellBox(want))
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%s: %d coordinates mapped to the wrong cell", spec.Name, bad)
+		}
+	}
+}

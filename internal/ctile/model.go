@@ -122,25 +122,25 @@ func (m *Model) cellBox(c int) geom.Rect {
 	return geom.Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}
 }
 
-// cellsTouching returns the indices of global cells intersecting the box.
-func (m *Model) cellsTouching(b geom.Rect) []int {
-	w := m.D.Outline.W()
-	h := m.D.Outline.H()
-	cx0 := int((b.X0 - m.D.Outline.X0) * int64(m.CellsX) / (w + 1))
-	cx1 := int((b.X1 - m.D.Outline.X0) * int64(m.CellsX) / (w + 1))
-	cy0 := int((b.Y0 - m.D.Outline.Y0) * int64(m.CellsY) / (h + 1))
-	cy1 := int((b.Y1 - m.D.Outline.Y0) * int64(m.CellsY) / (h + 1))
-	clamp := func(v, hi int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > hi {
-			return hi
-		}
-		return v
+// cellSpan maps an offset d from the outline origin, along an axis of
+// extent w split into n cells as cellBox splits it, to the lowest-index
+// cell whose closed span [w·i/n, w·(i+1)/n] contains d: the smallest i
+// with ⌊w·(i+1)/n⌋ ≥ d, which is ⌈d·n/w⌉ − 1. Offsets outside [0, w]
+// clamp to the first or last cell.
+func cellSpan(d, w int64, n int) int {
+	if d <= 0 || w <= 0 {
+		return 0
 	}
-	cx0, cx1 = clamp(cx0, m.CellsX-1), clamp(cx1, m.CellsX-1)
-	cy0, cy1 = clamp(cy0, m.CellsY-1), clamp(cy1, m.CellsY-1)
+	return min(int((d*int64(n)+w-1)/w)-1, n-1)
+}
+
+// cellsTouching returns the indices of global cells intersecting the box.
+// Each corner coordinate maps to the lowest-index cell containing it, so
+// a box that only touches a shared cell boundary stays in the lower cell.
+func (m *Model) cellsTouching(b geom.Rect) []int {
+	o := m.D.Outline
+	cx0, cx1 := cellSpan(b.X0-o.X0, o.W(), m.CellsX), cellSpan(b.X1-o.X0, o.W(), m.CellsX)
+	cy0, cy1 := cellSpan(b.Y0-o.Y0, o.H(), m.CellsY), cellSpan(b.Y1-o.Y0, o.H(), m.CellsY)
 	var out []int
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
