@@ -88,10 +88,9 @@ const maxComp = 8
 //
 // A slot depends on the tiles of exactly two cells, so it carries both
 // generations: own for the cell (shared by all slots) and gen[s] for the
-// neighbour. A re-partition therefore rebuilds only the slots facing the
-// changed cell — never the whole ring, as a per-cell cache keyed on all
-// nine generations would. Generations start at 1 on a cell's first
-// build, so gen[s] == 0 marks a slot that was never built.
+// neighbour. A re-partition therefore rebuilds, in each neighbour, only
+// the slot facing the changed cell. Generations start at 1 on a cell's
+// first build, so gen[s] == 0 marks a slot that was never built.
 type cellReach struct {
 	own  uint32
 	gen  [9]uint32
@@ -124,27 +123,38 @@ func (m *Model) reachOf(layer, cell int) *cellReach {
 }
 
 // buildReach computes one reach-mask slot: which components of rc each
-// component of cell can step into. A (component, neighbour-component)
-// bit, once set, needs no further adjacency tests.
+// component of cell can step into. Tiles never leave their cell's box, so
+// only tiles whose box, grown by one DBU as adjacent grows it, meets the
+// other cell's box can pass adjacent's bounding-box test. A (component,
+// neighbour-component) bit, once set, needs no further adjacency tests.
 func (m *Model) buildReach(layer, cell, rc int) [maxComp]uint8 {
 	tiles, bbs, comp := m.Tiles(layer, cell), m.TileBBs(layer, cell), m.compOf(layer, cell)
 	rTiles, rBBs, rComp := m.Tiles(layer, rc), m.TileBBs(layer, rc), m.compOf(layer, rc)
+	box, rbox := m.cellBox(cell), m.cellBox(rc)
+	near := m.nearBuf[:0]
+	for j, bb := range rBBs {
+		if bb.Expand(1).Intersects(box) {
+			near = append(near, j)
+		}
+	}
+	m.nearBuf = near
 	var mask [maxComp]uint8
-	tests := int64(0)
-	for i := range tiles {
-		for j := range rTiles {
+	for i, bb := range bbs {
+		if !bb.Expand(1).Intersects(rbox) {
+			continue
+		}
+		for _, j := range near {
 			bit := uint8(1) << rComp[j]
 			if mask[comp[i]]&bit != 0 {
 				continue
 			}
-			tests++
+			m.adjTests++
 			if m.adjacent(tiles[i], bbs[i], rTiles[j], rBBs[j]) {
 				mask[comp[i]] |= bit
 			}
 		}
 	}
 	m.reachRebuilds++
-	m.adjTests += tests
 	return mask
 }
 
@@ -180,20 +190,18 @@ func (m *Model) components(layer, cell int) []uint8 {
 		}
 		return x
 	}
-	tests := int64(0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			ri, rj := find(i), find(j)
 			if ri == rj {
 				continue
 			}
-			tests++
+			m.adjTests++
 			if m.adjacent(tiles[i], bbs[i], tiles[j], bbs[j]) {
 				parent[rj] = ri
 			}
 		}
 	}
-	m.adjTests += tests
 	comp := make([]uint8, n)
 	label := make([]int, n) // root -> id+1; 0 = unlabelled
 	next := 0

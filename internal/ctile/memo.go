@@ -12,13 +12,13 @@ import (
 // Every observable the corridor A* reads is a pure function of per-(layer,
 // cell) blocker lists: Tiles, TileBBs, the component labels and the reach
 // masks are all derived from the blockers of a cell and its ring, and the
-// per-cell via sites are an explicit input. The model therefore keeps a journal — one
-// order-sensitive content hash per (layer, cell), folded over every blocker
-// the cell ever received — and a recorded corridor search stores the hashes
-// of every (layer, cell) whose content it read plus the via-site content of
-// every cell it expanded through. A hit is served only when all of them
-// still match, which proves a live search would re-derive the identical
-// tile path.
+// per-cell via sites are an explicit input. The model therefore keeps a
+// journal — one order-sensitive content hash per (layer, cell), folded
+// over every blocker the cell ever received — and a recorded corridor
+// search stores the hashes of every (layer, cell) whose content it read
+// plus the via-site content of every cell it expanded through. A hit is
+// served only when all of them still match, which proves a live search
+// would re-derive the identical tile path.
 //
 // Corridor A* states are (layer, cell) pairs with grid-derived ids, so the
 // footprint is naturally local: a search's outcome depends only on the

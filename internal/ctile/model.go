@@ -54,6 +54,9 @@ type Model struct {
 	reachRebuilds int64
 	adjTests      int64
 
+	// nearBuf is buildReach's scratch list of candidate neighbour tiles.
+	nearBuf []int
+
 	// cj, when non-nil, journals per-cell blocker content and memoizes
 	// corridor searches across runs; see memo.go. Strictly observational.
 	cj *corJournal
