@@ -307,9 +307,7 @@ func (m *Model) ProofValid(p *CorridorProof, sites []ViaSite) bool {
 
 func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLayer int, sites []ViaSite, viaCost float64, wantProof bool) (path []TileRef, ok bool, proof *CorridorProof) {
 	expanded := 0
-	if m.tr != nil {
-		defer func() { m.traceSearch(ok, expanded) }()
-	}
+	defer func() { m.noteSearch(ok, expanded) }()
 	// Footprints are tracked for the memo and for proofs alike; a journal
 	// attached without a memo tracks only when a proof was asked for.
 	track := m.cj != nil && (m.cj.memo != nil || wantProof)
@@ -326,7 +324,7 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 		ckey = m.corKeyFor(from, fromLayer, to, toLayer, viaCost)
 		if e, hit := m.cj.memo.lookup(ckey, m.cj, siteHash); hit {
 			// Replay the recorded effort so a traced run reads the same
-			// corridor.* stream as a live search would have produced.
+			// corridor.expanded stream as a live search would have produced.
 			expanded = e.expanded
 			if wantProof {
 				proof = &CorridorProof{e: e}

@@ -49,10 +49,9 @@ type Model struct {
 	minDim int64
 
 	// tr, when non-nil, receives corridor-search effort; see SetTracer.
-	// reachRebuilds and adjTests accumulate between two searches.
-	tr            obs.Tracer
-	reachRebuilds int64
-	adjTests      int64
+	// The counters below accumulate until FlushTrace emits them.
+	tr                                          obs.Tracer
+	searches, failures, reachRebuilds, adjTests int64
 
 	// nearBuf is buildReach's scratch list of candidate neighbour tiles.
 	nearBuf []int
@@ -328,30 +327,43 @@ func (m *Model) TileCount(layer int) int {
 }
 
 // SetTracer attaches an observability tracer for corridor-search effort:
-// corridor.searches, corridor.failures and a corridor.expanded
-// observation per FindCorridor call, plus the ctile.reach_rebuilds and
-// ctile.adjacency_tests spent keeping the corridor graph current.
-// Disabled tracers are dropped so the search never pays for them.
+// a corridor.expanded observation per FindCorridor call, and the counters
+// FlushTrace emits. Disabled tracers are dropped so the search never pays
+// for them.
 func (m *Model) SetTracer(t obs.Tracer) {
 	if t != nil && t.Enabled() {
 		m.tr = t
 	} else {
 		m.tr = nil
 	}
-	m.reachRebuilds, m.adjTests = 0, 0
+	m.FlushTrace()
 }
 
-// traceSearch publishes one corridor search's effort, and the corridor
-// graph upkeep it paid for, to the attached tracer.
-func (m *Model) traceSearch(ok bool, expanded int) {
-	m.tr.Count("corridor.searches", 1)
+// noteSearch records one corridor search: its expansions as an
+// observation, its outcome in the counters FlushTrace emits.
+func (m *Model) noteSearch(ok bool, expanded int) {
+	m.searches++
 	if !ok {
-		m.tr.Count("corridor.failures", 1)
+		m.failures++
 	}
-	m.tr.Observe("corridor.expanded", float64(expanded))
-	m.tr.Count("ctile.reach_rebuilds", m.reachRebuilds)
-	m.tr.Count("ctile.adjacency_tests", m.adjTests)
-	m.reachRebuilds, m.adjTests = 0, 0
+	if m.tr != nil {
+		m.tr.Observe("corridor.expanded", float64(expanded))
+	}
+}
+
+// FlushTrace emits the corridor counters accumulated since the last flush
+// — corridor.searches, corridor.failures, and the ctile.reach_rebuilds and
+// ctile.adjacency_tests spent keeping the corridor graph current — then
+// resets them. The router flushes once at the end of stage 4, so a trace
+// carries one record per counter per route, not per search.
+func (m *Model) FlushTrace() {
+	if m.tr != nil {
+		m.tr.Count("corridor.searches", m.searches)
+		m.tr.Count("corridor.failures", m.failures)
+		m.tr.Count("ctile.reach_rebuilds", m.reachRebuilds)
+		m.tr.Count("ctile.adjacency_tests", m.adjTests)
+	}
+	m.searches, m.failures, m.reachRebuilds, m.adjTests = 0, 0, 0, 0
 }
 
 // TraceStats emits one "ctile.layer" event per wire layer — tile count

@@ -326,6 +326,7 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	default:
 		seqErr = sequentialRoute(ctx, d, model, sites, la, lay, opts, res, tr)
 	}
+	model.FlushTrace()
 	end(obs.Int("routed", res.SequentialRouted),
 		obs.Int("corridor", res.CorridorRouted),
 		obs.Int("fallback", res.FallbackRouted))
