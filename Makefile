@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-short bench bench-json bench-scaling bench-spec bench-eco bench-portfolio serve serve-smoke serve-bench metrics-smoke fmt qa qa-metrics fuzz
+.PHONY: build test verify verify-short bench bench-compare bench-json bench-scaling bench-spec bench-eco bench-portfolio serve serve-smoke serve-bench metrics-smoke fmt qa qa-metrics fuzz
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,16 @@ verify-short:
 
 bench:
 	$(GO) run ./cmd/rdlbench -all -quick
+
+# Repository benchmark (BENCHMARK.json), this checkout against another in
+# alternated pairs, e.g. against the parent commit:
+#   git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
+#   make bench-compare BASE=../parent
+# Each pair runs every workload once per side (30 s each); see
+# perfbench/README.md for the verdicts it prints.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<checkout>"; exit 2; }
+	python3 perfbench/compare.py --base $(BASE) --change . --seeds 1-10
 
 # Machine-readable perf baseline for the full Table-I sweep; compare the
 # committed BENCH_seed.json / BENCH_pr2.json per EXPERIMENTS.md.
