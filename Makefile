@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-short bench bench-compare bench-json bench-scaling bench-spec bench-eco bench-portfolio serve serve-smoke serve-bench metrics-smoke fmt qa qa-metrics fuzz
+.PHONY: build test verify verify-short bench bench-compare bench-json bench-scaling bench-portfolio serve serve-smoke serve-bench metrics-smoke fmt qa qa-metrics fuzz
 
 build:
 	$(GO) build ./...
@@ -42,23 +42,6 @@ bench-json:
 SCALING_JSON ?= BENCH_pr5.json
 bench-scaling:
 	$(GO) run ./cmd/rdlbench -scaling -scaling-workers 1,2,4,8 -json $(SCALING_JSON)
-
-# Incremental ECO sweep: cold route each circuit once, then reroute
-# single-net edits through the recorded search memo; each row carries a
-# byte-identity check against a cold route of the edited design
-# (identical must read "true" everywhere — see EXPERIMENTS.md).
-# Speculative-scaling sweep: the worker-scaling table with the
-# speculative stage-4 scheduler engaged (first cell stays the
-# plain-sequential identity baseline). Each cell carries the same
-# fingerprint + metrics identity check; "yes" everywhere is the
-# byte-identity story, wall times are the speedup story.
-SPEC_JSON ?= BENCH_pr9.json
-bench-spec:
-	$(GO) run ./cmd/rdlbench -scaling -speculative -scaling-workers 1,2,4,8 -json $(SPEC_JSON)
-
-ECO_JSON ?= BENCH_pr8.json
-bench-eco:
-	$(GO) run ./cmd/rdlbench -eco -json $(ECO_JSON)
 
 # Ordering-portfolio sweep: each circuit routed with the default
 # single-policy flow and with the first 6 ordering-registry policies

@@ -67,13 +67,10 @@ func run() int {
 		all      = flag.Bool("all", false, "run everything (except -scaling, which is its own sweep)")
 		scaling  = flag.Bool("scaling", false, "run the worker-scaling sweep: each circuit at every -scaling-workers count, with a determinism check")
 		scalingW = flag.String("scaling-workers", "1,2,4,8", "comma-separated worker counts for -scaling (first is the speedup baseline)")
-		ecoRun   = flag.Bool("eco", false, "run the incremental-ECO sweep: cold route each circuit, then reroute seeded single-net edits against the recorded memo, with a byte-identity check")
-		ecoEdits = flag.Int("eco-edits", 3, "independent single-net edits per circuit for -eco")
 		portRun  = flag.Bool("portfolio", false, "run the ordering-portfolio sweep: each circuit routed single-policy and with -portfolio-k raced policies, with a winner-equals-solo byte-identity check")
 		portK    = flag.Int("portfolio-k", 6, "ordering-registry policies to race for -portfolio (max 16)")
 		quick    = flag.Bool("quick", false, "restrict circuit sweeps to dense1..dense3")
 		workers  = flag.Int("workers", 0, "worker-pool bound inside each routing run (0 = GOMAXPROCS, 1 = sequential); results are identical at every value")
-		specul   = flag.Bool("speculative", false, "speculative stage-4 scheduler for our flow's runs (byte-identical results; -scaling keeps its first worker count on the sequential loop as the identity baseline)")
 		parallel = flag.Int("parallel", 1, "route up to this many circuits concurrently across the batch (0 = GOMAXPROCS); interleaves per-run timings and any -trace stream")
 		timeout  = flag.Duration("timeout", 0, `per-circuit routing deadline for the Table-I sweep; timed-out circuits are reported with status "timeout" (0 = none)`)
 		jsonOut  = flag.String("json", "", "also write every result as a JSON report to this file (see EXPERIMENTS.md)")
@@ -86,7 +83,7 @@ func run() int {
 	if *all {
 		*table1, *fig2, *fig5, *fig7, *ablation, *lpiters, *gsize = true, true, true, true, true, true, true
 	}
-	if !*table1 && !*fig2 && !*fig5 && !*fig7 && !*ablation && !*lpiters && !*gsize && !*scaling && !*ecoRun && !*portRun {
+	if !*table1 && !*fig2 && !*fig5 && !*fig7 && !*ablation && !*lpiters && !*gsize && !*scaling && !*portRun {
 		flag.Usage()
 		return 2
 	}
@@ -136,7 +133,6 @@ func run() int {
 	bench.Tracer = obs.Multi(sinks...)
 	bench.Timeout = *timeout
 	bench.Workers = *workers
-	bench.Speculative = *specul
 	bench.Parallel = *parallel
 
 	rep := &bench.Report{Circuits: names}
@@ -269,23 +265,6 @@ func run() int {
 		for _, r := range rows {
 			if !r.Deterministic {
 				fmt.Printf("WARNING %s workers=%d: result diverges from the baseline run\n", r.Name, r.Workers)
-				errCount++
-			}
-		}
-		fmt.Println()
-	}
-
-	if *ecoRun {
-		fmt.Println("== Incremental ECO rerouting (single-net edits vs cold route) ==")
-		rows, err := bench.RunECO(names, *ecoEdits)
-		if die(err) {
-			return 1
-		}
-		rep.ECO = rows
-		fmt.Print(bench.FormatECO(rows))
-		for _, r := range rows {
-			if !r.Identical {
-				fmt.Printf("WARNING %s: incremental reroute diverges from the cold route\n", r.Name)
 				errCount++
 			}
 		}

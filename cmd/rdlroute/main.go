@@ -13,18 +13,16 @@
 //	rdlroute -bench dense1 -cpuprofile cpu.pprof   # stage-labelled profile
 //	rdlroute -bench dense1 -export-design d.json   # write rdl-design/v1 JSON
 //	rdlroute -design d.json -o result.json         # JSON in, rdl-result/v1 out
-//	rdlroute -bench dense1 -delta eco.json         # ECO: route, apply delta, reroute incrementally
+//	rdlroute -bench dense1 -delta eco.json         # ECO: apply a delta, route the edited design
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"rdlroute"
 )
@@ -54,9 +52,8 @@ func run() int {
 		heat      = flag.Bool("congest", false, "print per-layer congestion heatmaps")
 		ripup     = flag.Int("ripup", 0, "rip-up-and-reroute rounds (extension beyond the paper; 0 = off)")
 		workers   = flag.Int("workers", 0, "worker-pool bound for the flow's parallel stages (0 = GOMAXPROCS, 1 = sequential); the routed result is identical at every value")
-		specul    = flag.Bool("speculative", false, "speculative stage-4 scheduler: route sequential-stage nets concurrently, commit only proof-identical results (byte-identical output either way)")
 		portfolio = flag.Int("portfolio", 0, "race the first N ordering-registry policies through the sequential stage and keep the best result (0 = off, max 16); deterministic at any worker count")
-		deltaIn   = flag.String("delta", "", `ECO delta file (rdl-design-delta/v1 JSON): route the base design recording a search memo, apply the delta, reroute incrementally (flow "ours" only)`)
+		deltaIn   = flag.String("delta", "", `ECO delta file (rdl-design-delta/v1 JSON): apply the delta to the loaded design and route the edited design (flow "ours" only)`)
 		hashOnly  = flag.Bool("hash", false, "print the design's content hash (sha256 of the canonical rdl-design/v1 bytes, the delta \"base\" field) and exit")
 
 		trace     = flag.String("trace", "", "write a JSONL trace (stage spans, per-net events) to this file")
@@ -172,10 +169,8 @@ func run() int {
 		opts.GlobalCells = *cells
 		opts.RipUpRounds = *ripup
 		opts.Workers = *workers
-		opts.Speculative = *specul
 		opts.OrderPortfolio = *portfolio
 		opts.Tracer = tracer
-		var res *rdlroute.Result
 		if *deltaIn != "" {
 			df, err := os.Open(*deltaIn)
 			if err != nil {
@@ -195,23 +190,15 @@ func run() int {
 					return fail(fmt.Errorf("delta base %s does not match the loaded design (content hash %s)", dl.Base, h))
 				}
 			}
-			ctx := context.Background()
-			base, err := rdlroute.RouteECO(ctx, d, opts)
+			edited, err := rdlroute.ApplyDelta(d, dl)
 			if err != nil {
 				return fail(err)
 			}
-			inc, err := base.Reroute(ctx, dl, opts)
-			if err != nil {
-				return fail(err)
-			}
-			hits, misses, _ := inc.MemoStats()
-			fmt.Printf("eco         base route %v, incremental reroute %v (%.1fx)\n",
-				base.Result.Runtime.Round(time.Millisecond),
-				inc.Result.Runtime.Round(time.Millisecond),
-				float64(base.Result.Runtime)/float64(inc.Result.Runtime))
-			fmt.Printf("eco memo    %d search hits, %d misses\n", hits, misses)
-			d, res = inc.Design, inc.Result
-		} else if res, err = rdlroute.Route(d, opts); err != nil {
+			fmt.Printf("eco         delta applied: %d nets (base %d)\n", len(edited.Nets), len(d.Nets))
+			d = edited
+		}
+		res, err := rdlroute.Route(d, opts)
+		if err != nil {
 			return fail(err)
 		}
 		lay = res.Layout

@@ -63,7 +63,6 @@ func run() int {
 		queue      = flag.Int("queue", 8, "job queue depth (excess submissions get 429)")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-job routing deadline (0 = none)")
 		routeW     = flag.Int("route-workers", 1, "default Options.Workers for jobs that submit 0: the per-job worker-pool bound inside the flow (results identical at every value)")
-		routeSpec  = flag.Bool("route-speculative", false, "run every job's stage 4 through the speculative scheduler (byte-identical results, so cache keys are unaffected)")
 		routePort  = flag.Int("route-portfolio", 0, "default Options.OrderPortfolio for jobs that submit 0: race the first N ordering-registry policies and keep the best result (changes results, so it is folded into the cache key; 0 = off, max 16)")
 		drain      = flag.Duration("drain", time.Minute, "graceful-shutdown drain budget")
 		flight     = flag.Int("flight", 64, "flight-recorder capacity: post-mortem records of the last N terminal jobs (-1 disables)")
@@ -103,7 +102,7 @@ func run() int {
 
 	s := serve.New(serve.Config{
 		Workers: *workers, QueueDepth: *queue, JobTimeout: *jobTimeout,
-		RouteWorkers: *routeW, RouteSpeculative: *routeSpec, RoutePortfolio: *routePort,
+		RouteWorkers: *routeW, RoutePortfolio: *routePort,
 		FlightSize: *flight, Logger: logger,
 	})
 	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
@@ -396,8 +395,8 @@ func runSmoke(workers, queue int, printMetrics bool) error {
 	}
 	fmt.Printf("smoke: resubmission %s served from cache\n", hit.ID)
 
-	// Delta job against the cached base: remove one net and reroute
-	// incrementally, then DRC-check the edited result.
+	// Delta job against the cached base: remove one net, route the edited
+	// design, then DRC-check the result.
 	hash, err := codec.DesignHash(d)
 	if err != nil {
 		return err
@@ -422,7 +421,7 @@ func runSmoke(workers, queue int, printMetrics bool) error {
 	if v := drc.Check(dres.Layout); len(v) != 0 {
 		return fmt.Errorf("smoke: delta result has %d DRC violations; first: %v", len(v), v[0])
 	}
-	fmt.Printf("smoke: delta job %s rerouted %d/%d nets, DRC clean\n",
+	fmt.Printf("smoke: delta job %s routed %d/%d nets, DRC clean\n",
 		dj.ID, dres.RoutedNets, dres.TotalNets)
 
 	// Portfolio job: the same circuit with an ordering portfolio raced

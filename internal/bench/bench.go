@@ -46,11 +46,6 @@ var Timeout time.Duration
 // only — routed results are byte-identical at every value.
 var Workers int
 
-// Speculative turns on the speculative stage-4 scheduler
-// (Options.Speculative) for our flow's runs. Results stay byte-identical
-// — the scaling sweep measures that per cell rather than assuming it.
-var Speculative bool
-
 // Parallel fans whole circuits out across the batch: RunTable1,
 // RunMetrics and RunAblations route up to this many circuits
 // concurrently (0 = GOMAXPROCS). The default 1 keeps the batch
@@ -72,7 +67,6 @@ func routerOptions() router.Options {
 	o := router.DefaultOptions()
 	o.Tracer = Tracer
 	o.Workers = Workers
-	o.Speculative = Speculative
 	return o
 }
 
@@ -83,7 +77,6 @@ func instrumentedOptions() router.Options {
 	o := router.DefaultOptions()
 	o.Tracer = obs.Multi(obs.NewCollector(), Tracer)
 	o.Workers = Workers
-	o.Speculative = Speculative
 	return o
 }
 

@@ -21,11 +21,6 @@ type ScalingRow struct {
 	Routability float64 `json:"routability"`
 	Wirelength  float64 `json:"wirelength"`
 	Fingerprint uint64  `json:"fingerprint"`
-	// Speculative records whether this cell ran the speculative stage-4
-	// scheduler. Under bench.Speculative the workerCounts[0] cell stays
-	// on the plain sequential loop so every speculative cell's identity
-	// check is against the sequential baseline itself.
-	Speculative bool `json:"speculative"`
 	// Deterministic reports whether this run's lattice fingerprint,
 	// routability and wirelength match the workerCounts[0] run of the
 	// same circuit — the determinism contract measured, not assumed.
@@ -54,12 +49,6 @@ func RunScaling(names []string, workerCounts []int) ([]ScalingRow, error) {
 			}
 			opts := routerOptions()
 			opts.Workers = w
-			if wi == 0 {
-				// The first cell is the identity baseline: always the plain
-				// sequential loop, so speculative cells are proven against
-				// the semantics they must reproduce.
-				opts.Speculative = false
-			}
 			start := time.Now()
 			res, fp, err := router.RouteFingerprint(context.Background(), d, opts)
 			if err != nil {
@@ -69,7 +58,7 @@ func RunScaling(names []string, workerCounts []int) ([]ScalingRow, error) {
 			row := ScalingRow{
 				Name: name, Workers: w, Seconds: sec,
 				Routability: res.Routability, Wirelength: res.Wirelength,
-				Fingerprint: fp, Speculative: opts.Speculative,
+				Fingerprint: fp,
 			}
 			if wi == 0 {
 				baseSec, baseFP, baseRes = sec, fp, res

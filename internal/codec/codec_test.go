@@ -102,21 +102,27 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestOptionsRoundTrip(t *testing.T) {
-	opts := router.DefaultOptions()
-	opts.NetOrder = router.OrderCongested
-	opts.RipUpRounds = 3
-	opts.EnableLP = false
-	opts.OrderPortfolio = 6
-	var buf bytes.Buffer
-	if err := EncodeOptions(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeOptions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != opts {
-		t.Fatalf("options differ:\n got %+v\nwant %+v", got, opts)
+	// Every ordering-registry policy travels as its registry name.
+	for i := 0; i < router.MaxPortfolio; i++ {
+		opts := router.WithOrderPolicy(router.DefaultOptions(), i)
+		opts.RipUpRounds = 3
+		opts.EnableLP = false
+		opts.OrderPortfolio = 6
+		var buf bytes.Buffer
+		if err := EncodeOptions(&buf, opts); err != nil {
+			t.Fatal(err)
+		}
+		name := router.PortfolioPolicyName(i)
+		if want := `"net_order": "` + name + `"`; !strings.Contains(buf.String(), want) {
+			t.Errorf("policy %d: encoding lacks %s:\n%s", i, want, buf.String())
+		}
+		got, err := DecodeOptions(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("policy %s: %v", name, err)
+		}
+		if got != opts {
+			t.Fatalf("policy %s: options differ:\n got %+v\nwant %+v", name, got, opts)
+		}
 	}
 	// An empty options document decodes to the defaults.
 	def, err := DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1"}`))
@@ -125,6 +131,40 @@ func TestOptionsRoundTrip(t *testing.T) {
 	}
 	if def != router.DefaultOptions() {
 		t.Fatalf("empty doc != defaults: %+v", def)
+	}
+}
+
+// TestOptionsRemovedKeyIsNoOp pins the versioning rule for removed
+// mechanisms: speculative stage 4 is gone, so its "speculative" key is no
+// longer encoded, and documents that still carry it decode exactly as if
+// it were absent.
+func TestOptionsRemovedKeyIsNoOp(t *testing.T) {
+	got, err := DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","speculative":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != router.DefaultOptions() {
+		t.Fatalf("speculative-only doc != defaults: %+v", got)
+	}
+	with, err := DecodeOptions(strings.NewReader(
+		`{"schema":"rdl-options/v1","net_order":"congested","speculative":true,"ripup_rounds":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := DecodeOptions(strings.NewReader(
+		`{"schema":"rdl-options/v1","net_order":"congested","ripup_rounds":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if with != without {
+		t.Fatalf("speculative key changed the decode:\n with %+v\n without %+v", with, without)
+	}
+	var buf bytes.Buffer
+	if err := EncodeOptions(&buf, with); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "speculative") {
+		t.Fatalf("encoding still writes the removed key:\n%s", buf.String())
 	}
 }
 

@@ -60,6 +60,7 @@ func FuzzDecodeOptions(f *testing.F) {
 	f.Add([]byte(`{"schema":"rdl-options/v1","order_portfolio":8}`))
 	f.Add([]byte(`{"schema":"rdl-options/v1","order_portfolio":99}`))
 	f.Add([]byte(`{"schema":"rdl-options/v1","order_portfolio":-3}`))
+	f.Add([]byte(`{"schema":"rdl-options/v1","net_order":"shuffle10"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts, err := codec.DecodeOptions(bytes.NewReader(data))
 		if err != nil {

@@ -10,7 +10,9 @@ import (
 // Wire representation of router options. Every field is optional: absent
 // fields keep their router.DefaultOptions value, so an empty document
 // decodes to the paper's experimental configuration. Booleans use
-// pointers to distinguish "absent" from "false".
+// pointers to distinguish "absent" from "false". Unknown keys are
+// ignored, so the key of a removed option ("speculative") still decodes,
+// as a no-op.
 type optionsDoc struct {
 	Schema         string      `json:"schema"`
 	Weights        *weightsDoc `json:"weights,omitempty"`
@@ -24,9 +26,8 @@ type optionsDoc struct {
 	PeripheralDist *int64      `json:"peripheral_dist,omitempty"`
 	LPMaxIters     *int        `json:"lp_max_iters,omitempty"`
 	RipUpRounds    *int        `json:"ripup_rounds,omitempty"`
-	NetOrder       string      `json:"net_order,omitempty"` // "shortest" | "longest" | "congested"
+	NetOrder       string      `json:"net_order,omitempty"` // ordering-registry policy name
 	Workers        *int        `json:"workers,omitempty"`   // 0 = GOMAXPROCS
-	Speculative    *bool       `json:"speculative,omitempty"`
 	// OrderPortfolio races the first N ordering-registry policies through
 	// the sequential stage (0 = off, max router.MaxPortfolio). Unlike the
 	// observational knobs above it changes results, so servers fold it
@@ -39,17 +40,6 @@ type weightsDoc struct {
 	Beta  float64 `json:"beta"`
 	Gamma float64 `json:"gamma"`
 	Delta float64 `json:"delta"`
-}
-
-func netOrderName(o router.NetOrder) string {
-	switch o {
-	case router.OrderLongest:
-		return "longest"
-	case router.OrderCongested:
-		return "congested"
-	default:
-		return "shortest"
-	}
 }
 
 // EncodeOptions writes opts as an rdl-options/v1 JSON document. Fields
@@ -72,9 +62,8 @@ func EncodeOptions(w io.Writer, opts router.Options) error {
 		PeripheralDist: &opts.PeripheralDist,
 		LPMaxIters:     &opts.LPMaxIters,
 		RipUpRounds:    &opts.RipUpRounds,
-		NetOrder:       netOrderName(opts.NetOrder),
+		NetOrder:       router.PortfolioPolicyName(opts.OrderPolicy),
 		Workers:        &opts.Workers,
-		Speculative:    &opts.Speculative,
 		OrderPortfolio: &opts.OrderPortfolio,
 	}
 	return writeDoc(w, OptionsSchema, doc)
@@ -134,9 +123,6 @@ func optionsFromDoc(doc optionsDoc) (router.Options, error) {
 		}
 		opts.Workers = *doc.Workers
 	}
-	if doc.Speculative != nil {
-		opts.Speculative = *doc.Speculative
-	}
 	if doc.OrderPortfolio != nil {
 		if *doc.OrderPortfolio < 0 || *doc.OrderPortfolio > router.MaxPortfolio {
 			return opts, invalidf(OptionsSchema, "order_portfolio",
@@ -144,18 +130,26 @@ func optionsFromDoc(doc optionsDoc) (router.Options, error) {
 		}
 		opts.OrderPortfolio = *doc.OrderPortfolio
 	}
-	switch doc.NetOrder {
-	case "", "shortest":
-		opts.NetOrder = router.OrderShortest
-	case "longest":
-		opts.NetOrder = router.OrderLongest
-	case "congested":
-		opts.NetOrder = router.OrderCongested
-	default:
-		return opts, invalidf(OptionsSchema, "net_order",
-			"unknown order %q (want \"shortest\", \"longest\" or \"congested\")", doc.NetOrder)
+	if doc.NetOrder != "" {
+		i, ok := policyIndex(doc.NetOrder)
+		if !ok {
+			return opts, invalidf(OptionsSchema, "net_order",
+				"unknown order %q (want an ordering-registry name: shortest, longest, congested, detour, boundary or shuffle0..shuffle%d)",
+				doc.NetOrder, router.MaxPortfolio-router.NamedPolicies-1)
+		}
+		opts.OrderPolicy = i
 	}
 	return opts, nil
+}
+
+// policyIndex maps an ordering-registry policy name to its index.
+func policyIndex(name string) (int, bool) {
+	for i := 0; i < router.MaxPortfolio; i++ {
+		if router.PortfolioPolicyName(i) == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // DecodeOptions reads an rdl-options/v1 document, overlaying it on

@@ -15,8 +15,7 @@ import "rdlroute/internal/geom"
 // shared read-only (rebuilds replace the slice, never mutate it), and the
 // per-cell generation counters and reach masks are copied by value, so
 // the clone's cache invalidation starts from the original's state. The
-// tracer and the corridor journal/memo are dropped: a scratch run is
-// unobserved and must not observe — or pollute — a cross-run memo.
+// tracer is dropped: a scratch run is unobserved.
 func (m *Model) CloneScratch() *Model {
 	cp := &Model{
 		D:      m.D,

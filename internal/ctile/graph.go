@@ -267,109 +267,18 @@ func (m *Model) TileNear(layer int, p geom.Point) (TileRef, bool) {
 // with Idx 0 — the downstream region mask is cell-granular and never
 // addresses individual tiles).
 //
-// Searching cells rather than tiles is what makes corridors stable under
-// ECO edits: state ids are fixed functions of the grid, move costs are
-// cell-center distances, and the expansion never reads tile shapes or
-// indices — so re-partitioning a cell's tiles (a committed band shifting
-// one pitch) cannot perturb equal-cost tie-breaking anywhere. Only a real
-// connectivity change — a passage opening or closing — can alter the
-// corridor, which is exactly the global-routing signal the paper's tile
-// graph exists to provide.
-func (m *Model) FindCorridor(from geom.Point, fromLayer int, to geom.Point, toLayer int, sites []ViaSite, viaCost float64) ([]TileRef, bool) {
-	path, ok, _ := m.findCorridor(from, fromLayer, to, toLayer, sites, viaCost, false)
-	return path, ok
-}
-
-// CorridorProof is the footprint evidence of one corridor search: the
-// content hash of every (layer, cell) and via-site list the search read.
-// While ProofValid holds, a live FindCorridor with the same arguments
-// would re-derive the identical result bit for bit.
-type CorridorProof struct {
-	e *corEntry
-}
-
-// FindCorridorProof is FindCorridor plus a CorridorProof for speculative
-// callers. The model must have a journal attached (AttachMemo or
-// AttachJournal); without one the proof is nil.
-func (m *Model) FindCorridorProof(from geom.Point, fromLayer int, to geom.Point, toLayer int, sites []ViaSite, viaCost float64) ([]TileRef, bool, *CorridorProof) {
-	return m.findCorridor(from, fromLayer, to, toLayer, sites, viaCost, true)
-}
-
-// ProofValid reports whether the proof's entire footprint still matches
-// the journal — i.e. no blocker committed since the search ran touched
-// any cell content or via-site list it read.
-func (m *Model) ProofValid(p *CorridorProof, sites []ViaSite) bool {
-	if m.cj == nil || p == nil || p.e == nil {
-		return false
-	}
-	return p.e.valid(m.cj, m.cj.ensureSiteHashes(m, sites))
-}
-
-func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLayer int, sites []ViaSite, viaCost float64, wantProof bool) (path []TileRef, ok bool, proof *CorridorProof) {
+// The search reads tile connectivity, not tile shapes: move costs and the
+// heuristic are cell-center distances, so a re-partition that keeps every
+// cell's connectivity leaves all corridor costs unchanged. Whether this
+// cell-level graph routes more nets than a tile-level search is open; the
+// first ROADMAP item measures it.
+func (m *Model) FindCorridor(from geom.Point, fromLayer int, to geom.Point, toLayer int, sites []ViaSite, viaCost float64) (path []TileRef, ok bool) {
 	expanded := 0
 	defer func() { m.noteSearch(ok, expanded) }()
-	// Footprints are tracked for the memo and for proofs alike; a journal
-	// attached without a memo tracks only when a proof was asked for.
-	track := m.cj != nil && (m.cj.memo != nil || wantProof)
-	// Memo consult: a recorded corridor whose cell-content and via-site
-	// footprint still matches is re-derived bit for bit — serve it and skip
-	// the snapshot and the tile-graph A* entirely. The served entry is its
-	// own proof: lookup just revalidated its footprint against the journal.
-	var ckey corKey
-	var siteHash []uint64
-	if track {
-		siteHash = m.cj.ensureSiteHashes(m, sites)
-	}
-	if m.cj != nil && m.cj.memo != nil {
-		ckey = m.corKeyFor(from, fromLayer, to, toLayer, viaCost)
-		if e, hit := m.cj.memo.lookup(ckey, m.cj, siteHash); hit {
-			// Replay the recorded effort so a traced run reads the same
-			// corridor.expanded stream as a live search would have produced.
-			expanded = e.expanded
-			if wantProof {
-				proof = &CorridorProof{e: e}
-			}
-			if !e.ok {
-				return nil, false, proof
-			}
-			out := make([]TileRef, len(e.path))
-			copy(out, e.path)
-			return out, true, proof
-		}
-	}
-	if track {
-		m.cj.fpReset()
-		// TileNear reads the tiles of the ring around each endpoint's cell.
-		for _, c := range m.cellsTouching(geom.RectOf(from, from)) {
-			m.fpMarkRing(fromLayer, c)
-		}
-		for _, c := range m.cellsTouching(geom.RectOf(to, to)) {
-			m.fpMarkRing(toLayer, c)
-		}
-	}
-	corStore := func(ok bool, path []TileRef) *CorridorProof {
-		if !track {
-			return nil
-		}
-		e := m.cj.snapshotEntry(siteHash, ok, path, expanded)
-		if m.cj.memo != nil {
-			m.cj.memo.store(ckey, e)
-		}
-		if !wantProof {
-			return nil
-		}
-		return &CorridorProof{e: e}
-	}
 	startRef, ok1 := m.TileNear(fromLayer, from)
 	goalRef, ok2 := m.TileNear(toLayer, to)
 	if !ok1 || !ok2 {
-		return nil, false, corStore(false, nil)
-	}
-	if track {
-		// Endpoint component lookups read the rings of the resolved cells
-		// (which TileNear may have picked a ring away from the query point).
-		m.fpMarkRing(startRef.Layer, startRef.Cell)
-		m.fpMarkRing(goalRef.Layer, goalRef.Cell)
+		return nil, false
 	}
 	ncells := m.CellsX * m.CellsY
 	siteByCell := make(map[int][]ViaSite)
@@ -389,12 +298,6 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 		expanded++
 		lc := u / maxComp
 		l, c, comp := lc/ncells, lc%ncells, u%maxComp
-		if track {
-			// Footprint: expanding here reads the ring's tiles (through the
-			// reach masks) on this layer and this cell's site list.
-			m.fpMarkRing(l, c)
-			m.cj.spMark(c)
-		}
 		// Cross-cell moves from the reach masks: (rc, rcomp) is reachable
 		// when any tile of this component shares a usable boundary with a
 		// tile of rc's component rcomp. Emit in ring-slot order, then
@@ -426,9 +329,6 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 				if nl < v.L0 || nl > v.L1 || nl < 0 || nl >= m.D.WireLayers {
 					continue
 				}
-				if track {
-					m.fpMarkRing(nl, c)
-				}
 				nref, ok := m.TileAt(nl, v.P)
 				if !ok || nref.Cell != c {
 					continue
@@ -455,7 +355,7 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 		func(u int) bool { return u == goalID },
 		expand, h)
 	if !found {
-		return nil, false, corStore(false, nil)
+		return nil, false
 	}
 	out := make([]TileRef, 0, len(ids))
 	for i, id := range ids {
@@ -469,5 +369,5 @@ func (m *Model) findCorridor(from geom.Point, fromLayer int, to geom.Point, toLa
 		}
 		out = append(out, TileRef{Layer: l, Cell: c})
 	}
-	return out, true, corStore(true, out)
+	return out, true
 }

@@ -55,10 +55,6 @@ type Model struct {
 
 	// nearBuf is buildReach's scratch list of candidate neighbour tiles.
 	nearBuf []int
-
-	// cj, when non-nil, journals per-cell blocker content and memoizes
-	// corridor searches across runs; see memo.go. Strictly observational.
-	cj *corJournal
 }
 
 // NewModel builds the decomposition over the design with a cells×cells
@@ -159,13 +155,9 @@ func (m *Model) addBlocker(layer int, shape geom.Oct8) {
 	}
 	bb := shape.BBox()
 	for _, c := range m.cellsTouching(bb) {
-		box := m.cellBox(c)
-		if shape.Intersects(geom.OctFromRect(box)) {
+		if shape.Intersects(geom.OctFromRect(m.cellBox(c))) {
 			m.blockers[layer][c] = append(m.blockers[layer][c], shape)
 			m.tiles[layer][c] = nil // dirty
-			if m.cj != nil {
-				m.cj.fold(layer, c, m.CellsX*m.CellsY, cellClampHash(shape, box))
-			}
 		}
 	}
 }

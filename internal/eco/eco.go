@@ -1,18 +1,9 @@
-// Package eco implements incremental (engineering-change-order) rerouting:
-// applying a small edit — a delta — to an already-routed base design and
-// producing the edited design's routing result byte-identical to a cold
-// full route, at a fraction of the cost.
-//
-// The mechanism is replay with memoized searches. A reroute re-runs the
-// entire five-stage flow on the edited design natively: every MPSC pick,
-// net ordering, corridor search and region mask is recomputed from the
-// edited design, so the result is the cold result by construction. The
-// expensive part — the per-net A* lattice searches — is served from a memo
-// recorded during the base run whenever the lattice journal proves the
-// search's entire footprint (request parameters, masks and all occupancy
-// state within its window) is unchanged; see internal/lattice memo.go.
-// An edit localized to one net leaves most footprints untouched, so most
-// searches hit and the reroute spends time only where the edit lands.
+// Package eco implements engineering-change-order edits: a delta — move,
+// add or remove nets, pads and obstacles — applied to a base design to
+// produce the edited design, which is then routed cold like any other
+// design. Deltas travel as rdl-design-delta/v1 documents (internal/codec)
+// that name their base design by content hash; the serving layer resolves
+// that hash from its result cache.
 package eco
 
 import (

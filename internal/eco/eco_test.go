@@ -1,15 +1,10 @@
 package eco_test
 
 import (
-	"bytes"
-	"context"
 	"testing"
 
-	"rdlroute/internal/codec"
 	"rdlroute/internal/design"
 	"rdlroute/internal/eco"
-	"rdlroute/internal/geom"
-	"rdlroute/internal/router"
 )
 
 func dense(t *testing.T, name string) *design.Design {
@@ -23,146 +18,6 @@ func dense(t *testing.T, name string) *design.Design {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// stableBytes encodes a result with the volatile fields (runtime, obs
-// snapshot) zeroed, mirroring the qa oracle's comparison.
-func stableBytes(t *testing.T, res *router.Result) []byte {
-	t.Helper()
-	c := *res
-	c.Runtime = 0
-	c.Obs = nil
-	var buf bytes.Buffer
-	if err := codec.EncodeResult(&buf, &c); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// oneNetEdit returns a delta moving one I/O pad by one lattice pitch — the
-// canonical 1-net ECO — picking the first pad whose move keeps the design
-// valid.
-func oneNetEdit(t *testing.T, d *design.Design) *eco.Delta {
-	t.Helper()
-	pitch := int64(design.Grid)
-	for pi := range d.IOPads {
-		for _, off := range []geom.Point{geom.Pt(pitch, 0), geom.Pt(-pitch, 0), geom.Pt(0, pitch), geom.Pt(0, -pitch)} {
-			to := geom.Pt(d.IOPads[pi].Center.X+off.X, d.IOPads[pi].Center.Y+off.Y)
-			dl := &eco.Delta{MoveIOPads: []eco.MovePad{{Index: pi, To: to}}}
-			if _, err := eco.Apply(d, dl); err == nil {
-				return dl
-			}
-		}
-	}
-	t.Fatal("no valid one-pad move found")
-	return nil
-}
-
-// TestRerouteByteIdentical is the subsystem's core contract: an incremental
-// reroute of an edited design is byte-identical — same lattice fingerprint,
-// same encoded result — to a cold full route of that design, and serves a
-// substantial share of its searches from the memo.
-func TestRerouteByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	base := dense(t, "dense1")
-	opts := router.DefaultOptions()
-
-	plan, err := eco.Route(ctx, base, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, m, _ := plan.MemoStats(); h != 0 || m == 0 {
-		t.Fatalf("cold plan: hits=%d misses=%d, want 0 hits and >0 misses", h, m)
-	}
-
-	// The cold plan itself must match a plain (un-memoized) route.
-	coldRes, coldFP, err := router.RouteFingerprint(ctx, base, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Fingerprint != coldFP {
-		t.Fatalf("recording changed the route: fp %#x != cold %#x", plan.Fingerprint, coldFP)
-	}
-	if !bytes.Equal(stableBytes(t, plan.Result), stableBytes(t, coldRes)) {
-		t.Fatal("recording changed the encoded result")
-	}
-
-	dl := oneNetEdit(t, base)
-	edited, err := eco.Apply(base, dl)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inc, err := plan.Reroute(ctx, dl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eCold, eFP, err := router.RouteFingerprint(ctx, edited, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Fingerprint != eFP {
-		t.Fatalf("incremental fp %#x != cold fp %#x", inc.Fingerprint, eFP)
-	}
-	if !bytes.Equal(stableBytes(t, inc.Result), stableBytes(t, eCold)) {
-		t.Fatal("incremental result bytes differ from cold route of edited design")
-	}
-	hits, misses, _ := inc.MemoStats()
-	if hits == 0 {
-		t.Fatalf("1-net edit reroute had no memo hits (misses=%d)", misses)
-	}
-	t.Logf("reroute memo: %d hits, %d misses", hits, misses)
-
-	// Chain a second edit off the incremental plan: plans must compose.
-	dl2 := oneNetEdit(t, inc.Design)
-	inc2, err := inc.Reroute(ctx, dl2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited2, err := eco.Apply(inc.Design, dl2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, e2FP, err := router.RouteFingerprint(ctx, edited2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc2.Fingerprint != e2FP {
-		t.Fatalf("chained reroute fp %#x != cold fp %#x", inc2.Fingerprint, e2FP)
-	}
-}
-
-// TestRerouteWithRipUp exercises the candidate-lattice path: rip-up rounds
-// rebuild lattices mid-flow, which must journal and memoize identically.
-func TestRerouteWithRipUp(t *testing.T) {
-	ctx := context.Background()
-	base := dense(t, "dense2")
-	opts := router.DefaultOptions()
-	opts.RipUpRounds = 3
-
-	plan, err := eco.Route(ctx, base, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl := oneNetEdit(t, base)
-	edited, err := eco.Apply(base, dl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := plan.Reroute(ctx, dl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eCold, eFP, err := router.RouteFingerprint(ctx, edited, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Fingerprint != eFP {
-		t.Fatalf("incremental fp %#x != cold fp %#x", inc.Fingerprint, eFP)
-	}
-	if !bytes.Equal(stableBytes(t, inc.Result), stableBytes(t, eCold)) {
-		t.Fatal("incremental result bytes differ from cold route (rip-up enabled)")
-	}
 }
 
 func TestApplyRemovalsRemap(t *testing.T) {

@@ -2,10 +2,9 @@ package lattice
 
 // CloneScratch returns an independent copy of the lattice's occupancy
 // state for scratch routing: the wire, via and edge slabs are deep-copied,
-// while everything strictly observational — tracer, search-memo journal,
-// cached search buffers — is dropped. Routing on the clone is therefore
-// byte-identical to routing on the original (occupancy is the only state
-// a search reads) but performs no tracer or memo side effects and can
+// while the tracer and the cached search buffers are dropped. Routing on
+// the clone is therefore byte-identical to routing on the original
+// (occupancy is the only state a search reads) but emits no trace and can
 // never leak state back: commits on the clone touch only its own slabs.
 //
 // The ordering-portfolio racer is the consumer: each candidate policy

@@ -62,11 +62,6 @@ type Lattice struct {
 	// tr, when non-nil, receives per-search effort metrics
 	// (astar.expanded / astar.visited observations and search counters).
 	tr obs.Tracer
-
-	// j, when non-nil, is the search-memo journal (see memo.go): every
-	// occupancy mutation notes itself here so memoized searches can prove
-	// their footprint unchanged.
-	j *journal
 }
 
 // SetTracer attaches an observability tracer to the lattice. Disabled
@@ -333,7 +328,6 @@ func (la *Lattice) BlockRect(layer int, box geom.Rect, net int) {
 	}
 	la.blockRect(layer, box, owner)
 	la.markEdgesPoly(layer, geom.PolyFromRect(box), box, owner)
-	la.noteRect(layer, box, net)
 }
 
 // commitWire blocks space around a committed wire segment of the net.
@@ -349,7 +343,6 @@ func (la *Lattice) commitWire(layer int, seg geom.Segment, net int) {
 	}
 	halfW := float64(la.D.Rules.WireWidth) / 2
 	la.markEdgesPoly(layer, geom.PolyFromSegment(seg, halfW), bbox, owner)
-	la.noteWire(layer, seg, net)
 }
 
 // commitVia blocks space around a committed via on slab s at point p.
@@ -366,7 +359,6 @@ func (la *Lattice) commitVia(s int, p geom.Point, net int) {
 		}
 	}
 	la.markViaEdges(s, p, owner)
-	la.noteVia(s, p, net)
 }
 
 // PathStep is one node of a routed path.

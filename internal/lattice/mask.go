@@ -1,10 +1,6 @@
 package lattice
 
-import (
-	"math/bits"
-
-	"rdlroute/internal/geom"
-)
+import "rdlroute/internal/geom"
 
 // RegionMask is a routing region rasterized at lattice resolution: one
 // bit per (layer, node), indexed like wireOcc. The router builds one per
@@ -173,34 +169,4 @@ func (m *RegionMask) AllowWindow(l, i0, j0, i1, j1 int) {
 	for j := j0; j <= j1; j++ {
 		m.allowRun(l, j, i0, i1)
 	}
-}
-
-// Overlaps reports whether the two masks share any allowed node. Masks
-// from different lattices (mismatched word counts) are conservatively
-// treated as overlapping — callers compare masks of one lattice only.
-func (m *RegionMask) Overlaps(o *RegionMask) bool {
-	if m == nil || o == nil {
-		return true
-	}
-	if len(m.bits) != len(o.bits) {
-		return true
-	}
-	for k, w := range m.bits {
-		if w&o.bits[k] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// OverlapCount returns the number of allowed nodes the two masks share.
-func (m *RegionMask) OverlapCount(o *RegionMask) int {
-	if m == nil || o == nil || len(m.bits) != len(o.bits) {
-		return 0
-	}
-	n := 0
-	for k, w := range m.bits {
-		n += bits.OnesCount64(w & o.bits[k])
-	}
-	return n
 }

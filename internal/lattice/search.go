@@ -218,34 +218,32 @@ func (la *Lattice) unpack(s int32) (l, i, j, dir int) {
 	return
 }
 
-// ensure sizes the buffers for n states and opens a new search epoch.
-func (ss *searchState) ensure(n int) {
-	if len(ss.dist) < n {
-		ss.dist = make([]float64, n)
-		ss.prev = make([]int32, n)
-		ss.epoch = make([]uint32, n)
-		ss.done = make([]uint32, n)
-	}
-	ss.cur++
-	ss.heap.reset()
-}
-
 func (la *Lattice) ensureSearch() *searchState {
-	if la.search == nil {
-		la.search = &searchState{}
+	n := la.Layers * la.NX * la.NY * 9
+	if la.search == nil || len(la.search.dist) < n {
+		la.search = &searchState{
+			dist:  make([]float64, n),
+			prev:  make([]int32, n),
+			epoch: make([]uint32, n),
+			done:  make([]uint32, n),
+		}
 	}
-	la.search.ensure(la.Layers * la.NX * la.NY * 9)
+	la.search.cur++
+	la.search.heap.reset()
 	return la.search
 }
 
-// routePrep validates the request's terminals and applies the cost
-// defaults. A false return is a pre-search rejection: the seed behavior is
-// to report nothing (no tracer counters, no memo entry) for such requests.
-func (la *Lattice) routePrep(req *Request) bool {
-	_, _, ok1 := la.NodeAt(req.From)
-	_, _, ok2 := la.NodeAt(req.To)
+// Route finds a DRC-clean path for the request, or ok=false. The returned
+// path is a sequence of steps; consecutive same-layer steps with collinear
+// direction are merged into maximal segments. A request whose terminals
+// are off-lattice or on a disallowed layer is rejected before any search
+// runs and reports no effort; every search that runs reports its effort
+// to req.Stats and the attached tracer.
+func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
+	fi, fj, ok1 := la.NodeAt(req.From)
+	ti, tj, ok2 := la.NodeAt(req.To)
 	if !ok1 || !ok2 {
-		return false
+		return nil, 0, false
 	}
 	if req.ViaCost == 0 {
 		req.ViaCost = 3 * float64(la.Pitch)
@@ -256,81 +254,13 @@ func (la *Lattice) routePrep(req *Request) bool {
 	layerAllowed := func(l int) bool {
 		return req.LayerMask == nil || (l < len(req.LayerMask) && req.LayerMask[l])
 	}
-	return layerAllowed(req.FromLayer) && layerAllowed(req.ToLayer)
-}
-
-// coreResult is one A* execution's complete outcome, before any tracer or
-// memo side effects.
-type coreResult struct {
-	path      []PathStep
-	cost      float64
-	ok        bool
-	expanded  int
-	visited   int
-	cancelled bool
-}
-
-// Route finds a DRC-clean path for the request, or ok=false. The returned
-// path is a sequence of steps; consecutive same-layer steps with collinear
-// direction are merged into maximal segments.
-func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
-	if !la.routePrep(&req) {
+	if !layerAllowed(req.FromLayer) || !layerAllowed(req.ToLayer) {
 		return nil, 0, false
 	}
+	ss := la.ensureSearch()
+	expanded, visited := 0, 0
+	defer func() { la.recordSearch(&req, expanded, visited, ok) }()
 
-	// Memo consult: with a memo attached and a hashable request (the
-	// Region closure is opaque, so such requests always search live), a
-	// recorded entry whose request key matches and whose block snapshot
-	// still holds proves the search would be re-derived bit for bit —
-	// serve it, replaying the recorded effort so tracer streams match a
-	// cold run. Recording skips context-cancelled searches: their outcome
-	// reflects the deadline, not the lattice.
-	memoOK := la.j != nil && la.j.memo != nil && req.Region == nil
-	var mkey memoKey
-	if memoOK {
-		mkey = la.memoKeyFor(&req)
-		if e, hit := la.j.memo.lookup(mkey, la.j); hit {
-			la.recordSearch(&req, e.expanded, e.visited, e.ok)
-			if !e.ok {
-				return nil, 0, false
-			}
-			p := make([]PathStep, len(e.path))
-			copy(p, e.path)
-			return p, e.cost, true
-		}
-	}
-	var fp *fpScratch
-	if memoOK {
-		fp = &la.j.fp
-	}
-	r := la.routeCore(&req, la.ensureSearch(), fp)
-	la.recordSearch(&req, r.expanded, r.visited, r.ok)
-	if r.cancelled {
-		return nil, 0, false
-	}
-	if memoOK {
-		e := &memoEntry{ok: r.ok, cost: r.cost, expanded: r.expanded, visited: r.visited,
-			snap: fp.snapshot(la.j)}
-		if len(r.path) > 0 {
-			e.path = make([]PathStep, len(r.path))
-			copy(e.path, r.path)
-		}
-		la.j.memo.store(mkey, e)
-	}
-	return r.path, r.cost, r.ok
-}
-
-// routeCore is the A* engine shared by the sequential Route path and the
-// speculative SpecRoute path: it reads occupancy (never mutating the
-// lattice), expands states in the caller's searchState, and — when fp is
-// non-nil — marks the footprint of every popped node against the attached
-// journal. It performs no tracer or memo side effects; callers own those.
-func (la *Lattice) routeCore(req *Request, ss *searchState, fp *fpScratch) coreResult {
-	fi, fj, _ := la.NodeAt(req.From)
-	ti, tj, _ := la.NodeAt(req.To)
-	layerAllowed := func(l int) bool {
-		return req.LayerMask == nil || (l < len(req.LayerMask) && req.LayerMask[l])
-	}
 	goalNode := la.idx(ti, tj)
 	isTerminal := func(i, j int) bool {
 		return (i == fi && j == fj) || (i == ti && j == tj)
@@ -351,13 +281,6 @@ func (la *Lattice) routeCore(req *Request, ss *searchState, fp *fpScratch) coreR
 	// search outcome — it only stops the frontier from flooding the whole
 	// lattice on hard or unroutable nets.
 	wi0, wj0, wi1, wj1 := la.SearchWindow(req.From, req.To, req.MaxCost)
-
-	// Footprint of the live search: the block set of popped nodes (plus the
-	// start probe), each grown by the two-node read reach mark applies.
-	if fp != nil {
-		fp.reset(la.j.nbx * la.j.nby)
-		fp.mark(la.j, fi, fj)
-	}
 
 	wireOK := func(l, i, j int) bool {
 		if req.IgnoreForeign {
@@ -384,7 +307,6 @@ func (la *Lattice) routeCore(req *Request, ss *searchState, fp *fpScratch) coreR
 		return d + float64(dl)*req.ViaCost
 	}
 
-	expanded, visited := 0, 0
 	relax := func(s int32, d float64, from int32, fpri float64) {
 		if ss.epoch[s] != ss.cur || d < ss.dist[s] {
 			ss.epoch[s] = ss.cur
@@ -397,7 +319,7 @@ func (la *Lattice) routeCore(req *Request, ss *searchState, fp *fpScratch) coreR
 
 	start := la.stateID(req.FromLayer, fi, fj, noDir)
 	if !wireOK(req.FromLayer, fi, fj) {
-		return coreResult{}
+		return nil, 0, false
 	}
 	relax(start, 0, -1, h(fi, fj, req.FromLayer))
 
@@ -409,18 +331,14 @@ func (la *Lattice) routeCore(req *Request, ss *searchState, fp *fpScratch) coreR
 		ss.done[s] = ss.cur
 		expanded++
 		if req.Ctx != nil && expanded%cancelPollPeriod == 0 && req.Ctx.Err() != nil {
-			return coreResult{expanded: expanded, visited: visited, cancelled: true}
+			return nil, 0, false
 		}
 		if f > req.MaxCost {
-			return coreResult{expanded: expanded, visited: visited}
+			return nil, 0, false
 		}
 		l, i, j, dir := la.unpack(s)
-		if fp != nil {
-			fp.mark(la.j, i, j)
-		}
 		if l == req.ToLayer && la.idx(i, j) == goalNode {
-			return coreResult{path: la.rebuild(ss, s), cost: ss.dist[s], ok: true,
-				expanded: expanded, visited: visited}
+			return la.rebuild(ss, s), ss.dist[s], true
 		}
 		d := ss.dist[s]
 		// Wire moves.
@@ -482,7 +400,7 @@ func (la *Lattice) routeCore(req *Request, ss *searchState, fp *fpScratch) coreR
 			relax(ns, nd2, s, pri)
 		}
 	}
-	return coreResult{expanded: expanded, visited: visited}
+	return nil, 0, false
 }
 
 // rebuild converts the predecessor chain into a compact step path with

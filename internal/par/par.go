@@ -81,18 +81,6 @@ func chunkSize(n, w int) int {
 // chunk and in-flight chunks finish), so it must not assume earlier
 // indices succeeded.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachW(ctx, workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachW is ForEach with worker addressing: fn receives the id (in
-// [0, workers) after resolution) of the goroutine running it alongside
-// the index. Worker-owned scratch — per-worker search buffers, arenas —
-// indexes by the id without locking: one worker never runs two fn calls
-// concurrently. Determinism still demands that fn(w, i)'s RESULT not
-// depend on w (ids are scheduling-dependent); scratch reuse is safe
-// exactly when the scratch's history cannot leak into the result.
-// Inline execution (workers == 1 or n <= 1) passes id 0.
-func ForEachW(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -105,7 +93,7 @@ func ForEachW(ctx context.Context, workers, n int, fn func(worker, i int) error)
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -132,7 +120,7 @@ func ForEachW(ctx context.Context, workers, n int, fn func(worker, i int) error)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				if failed.Load() != 0 || ctx.Err() != nil {
@@ -147,13 +135,13 @@ func ForEachW(ctx context.Context, workers, n int, fn func(worker, i int) error)
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					if err := fn(w, i); err != nil {
+					if err := fn(i); err != nil {
 						record(i, err)
 						return
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

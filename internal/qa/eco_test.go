@@ -2,15 +2,13 @@ package qa
 
 import (
 	"bytes"
-	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"rdlroute/internal/codec"
 	"rdlroute/internal/design"
 	"rdlroute/internal/eco"
 	"rdlroute/internal/geom"
-	"rdlroute/internal/router"
 )
 
 // randomDelta draws one valid ECO edit against d: a pad move of one or
@@ -63,73 +61,46 @@ func randomDelta(t *testing.T, d *design.Design, rng *rand.Rand) *eco.Delta {
 }
 
 // ecoSweepSize mirrors sweepSize's tiering for the ECO gate: each seed
-// costs three routing runs (base, incremental, cold verification).
+// costs two routing runs of the edited design (workers 1 and 2).
 func ecoSweepSize() int {
-	n := 8
-	if testing.Short() {
-		n = 3
-	}
-	if raceEnabled && n > 3 {
-		n = 3
+	n := 16
+	if testing.Short() || raceEnabled {
+		n = 6
 	}
 	return n
 }
 
-// TestECOIncrementalEqualsCold is the incremental-rerouting acceptance
-// gate: for seeded random designs and random deltas, rerouting through
-// the base plan's memo must be byte-identical to cold-routing the edited
-// design — same occupancy fingerprint and identical canonical result
-// encoding (runtime excluded). Worker counts alternate between 1 and 2
-// across seeds, and the cold verification always runs sequentially, so
-// the identity also spans the parallel-stage scheduling.
-func TestECOIncrementalEqualsCold(t *testing.T) {
-	n := ecoSweepSize()
-	ctx := context.Background()
-	for i := 0; i < n; i++ {
+// TestECODeltaSweep is the delta path's acceptance gate: for seeded
+// random designs and random deltas (pad moves, net removals,
+// add-after-remove, obstacle removals), the edited design eco.Apply
+// produces must validate and route cold through the full flow with every
+// result oracle passing — DRC-clean, connected, counts and wirelength
+// consistent — at workers 1 and 2, with identical lattice fingerprints
+// and rdl-result/v1 bytes at both worker counts.
+func TestECODeltaSweep(t *testing.T) {
+	for i := 0; i < ecoSweepSize(); i++ {
 		seed := int64(9100 + i)
 		d := Generate(seed)
-		workers := 1 + i%2
-
-		opts := router.DefaultOptions()
-		opts.Workers = workers
-		base, err := eco.Route(ctx, d, opts)
-		if err != nil {
-			t.Fatalf("seed %d: base route: %v", seed, err)
-		}
-		rng := rand.New(rand.NewSource(seed*31 + int64(workers)))
+		rng := rand.New(rand.NewSource(seed * 31))
 		dl := randomDelta(t, d, rng)
-		inc, err := base.Reroute(ctx, dl, opts)
+		edited, err := eco.Apply(d, dl)
 		if err != nil {
-			t.Fatalf("seed %d: incremental reroute: %v", seed, err)
+			t.Fatalf("seed %d: apply %+v: %v", seed, dl, err)
 		}
-
-		coldOpts := router.DefaultOptions()
-		coldOpts.Workers = 1
-		coldRes, coldFP, err := router.RouteFingerprint(ctx, inc.Design, coldOpts)
-		if err != nil {
-			t.Fatalf("seed %d: cold route: %v", seed, err)
+		if err := edited.Validate(); err != nil {
+			t.Fatalf("seed %d: edited design does not validate (delta %+v): %v", seed, dl, err)
 		}
-		if inc.Fingerprint != coldFP {
-			t.Errorf("seed %d workers %d: fingerprint diverges: incremental %x, cold %x (delta %+v)",
-				seed, workers, inc.Fingerprint, coldFP, dl)
-			continue
+		fp1, enc1, res1 := routeStable(t, edited, 1)
+		checkResultOracles(edited, "eco", res1.Layout, res1.Wirelength, res1.RoutedNets,
+			func(oracle, format string, args ...any) {
+				t.Errorf("seed %d: %s: %s (delta %+v)", seed, oracle, fmt.Sprintf(format, args...), dl)
+			})
+		fp2, enc2, _ := routeStable(t, edited, 2)
+		if fp2 != fp1 {
+			t.Errorf("seed %d: workers=2 fingerprint %x, workers=1 %x (delta %+v)", seed, fp2, fp1, dl)
 		}
-		ib := encodeResultNoRuntime(t, inc.Result)
-		cb := encodeResultNoRuntime(t, coldRes)
-		if !bytes.Equal(ib, cb) {
-			t.Errorf("seed %d workers %d: result encoding diverges despite equal fingerprints (delta %+v)",
-				seed, workers, dl)
+		if !bytes.Equal(enc2, enc1) {
+			t.Errorf("seed %d: workers=2 rdl-result/v1 bytes differ from workers=1 (delta %+v)", seed, dl)
 		}
 	}
-}
-
-func encodeResultNoRuntime(t *testing.T, res *router.Result) []byte {
-	t.Helper()
-	r := *res
-	r.Runtime = 0
-	var buf bytes.Buffer
-	if err := codec.EncodeResult(&buf, &r); err != nil {
-		t.Fatalf("encode result: %v", err)
-	}
-	return buf.Bytes()
 }

@@ -243,43 +243,4 @@ func TestObsRipUpEvents(t *testing.T) {
 	if routedEvents(c, "sequential", "failed") == 0 {
 		t.Error("no failed sequential net.route events on a congested instance")
 	}
-
-	// The speculative scheduler must emit the identical event stream: a
-	// failed speculative attempt produces its net.route outcome=failed
-	// event exactly once — at commit or at the live replay, never both.
-	cs := obs.NewCollector()
-	sopts := opts
-	sopts.Speculative = true
-	sopts.Tracer = cs
-	ress, err := Route(d, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStageInvariants(t, ress, cs)
-	type netEv struct {
-		net           int
-		outcome, mode string
-	}
-	seqStream := func(col *obs.Collector) []netEv {
-		var out []netEv
-		for _, e := range col.Events("net.route") {
-			if e.Str("stage") == "sequential" {
-				out = append(out, netEv{int(e.Num("net")), e.Str("outcome"), e.Str("mode")})
-			}
-		}
-		return out
-	}
-	want, got := seqStream(c), seqStream(cs)
-	if len(got) != len(want) {
-		t.Fatalf("speculative run emitted %d sequential net.route events, sequential run %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sequential net.route stream diverges at %d: speculative %v, sequential %v", i, got[i], want[i])
-		}
-	}
-	if n := routedEvents(cs, "sequential", "failed"); n != routedEvents(c, "sequential", "failed") {
-		t.Errorf("speculative run emitted %d failed sequential events, sequential run %d (abort+replay double-emit?)",
-			n, routedEvents(c, "sequential", "failed"))
-	}
 }

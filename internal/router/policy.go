@@ -12,15 +12,16 @@ import (
 
 // The ordering-policy registry. Stage 4 commits nets one at a time, so
 // routability hinges on the commit order; the registry is the single
-// list of orderings the flow knows — the portfolio racer, the qa
-// escalation ladder and the classic Options.NetOrder switch all draw
-// from it, so qa exercises exactly the policies production races.
+// list of orderings the flow knows — Options.OrderPolicy, the portfolio
+// racer and the qa escalation ladder all draw from it, so qa exercises
+// exactly the policies production races.
 //
-// Indices are part of the deterministic contract: the winner rule breaks
-// ties on the LOWEST policy index, the codec serializes portfolio sizes
-// as counts of this registry's prefix, and the qa matrix pins counter
-// streams that embed winner indices. Reordering or renaming entries is a
-// semantic change, not a refactor.
+// Indices and names are part of the deterministic contract: the winner
+// rule breaks ties on the LOWEST policy index, the codec serializes
+// Options.OrderPolicy by name and portfolio sizes as counts of this
+// registry's prefix, and the qa matrix pins counter streams that embed
+// winner indices. Reordering or renaming entries is a semantic change,
+// not a refactor.
 const (
 	// NamedPolicies is the number of feature-based heuristics at the
 	// front of the registry: shortest, longest, congested, detour,
@@ -55,36 +56,18 @@ func PortfolioPolicyName(i int) string {
 	return policyByIndex(i).name
 }
 
-// WithOrderPolicy pins stage 4 to the single registry policy i,
-// overriding both NetOrder and OrderPortfolio. The qa escalation ladder
+// WithOrderPolicy pins stage 4 to the single registry policy i: it sets
+// OrderPolicy and turns the portfolio race off. The qa escalation ladder
 // and the winner-equals-solo oracle route through it: a portfolio run
 // must be byte-identical to WithOrderPolicy(opts, winner).
 func WithOrderPolicy(opts Options, i int) Options {
-	opts.soloPolicy = &i
+	opts.OrderPolicy = i
 	opts.OrderPortfolio = 0
 	return opts
 }
 
-// policyForOptions resolves the ordering the stage-4 queue uses when no
-// portfolio is racing: an explicit solo pin wins, otherwise the classic
-// NetOrder switch maps onto the registry's first three entries.
-func policyForOptions(opts Options) netOrderPolicy {
-	if opts.soloPolicy != nil {
-		return policyByIndex(*opts.soloPolicy)
-	}
-	switch opts.NetOrder {
-	case OrderLongest:
-		return policyByIndex(1)
-	case OrderCongested:
-		return policyByIndex(2)
-	default:
-		return policyByIndex(0)
-	}
-}
-
 // policyByIndex returns registry entry i. Callers validate the range;
-// out-of-range indices fall back to the default shortest-first policy so
-// a stale pointer can never panic mid-flow.
+// out-of-range indices fall back to the default shortest-first policy.
 func policyByIndex(i int) netOrderPolicy {
 	switch i {
 	case 1:
@@ -108,10 +91,9 @@ func policyByIndex(i int) netOrderPolicy {
 }
 
 // jobIDLess is the stable tie-break every policy shares: net ID, then
-// net index. A pad edit changes one net's sort key, and without a total
-// order an unstable sort could reshuffle equal-keyed nets, cascading
-// order changes into every downstream commit — fatal for incremental
-// (memoized) reroutes and for cross-worker byte identity.
+// net index. sort.Slice is not stable, so without a total order
+// equal-keyed nets could commit in any order, and byte identity across
+// runs and worker counts would be lost.
 func jobIDLess(d *design.Design, jobs []seqJob) func(i, j int) bool {
 	return func(i, j int) bool {
 		idi, idj := d.Nets[jobs[i].net].ID, d.Nets[jobs[j].net].ID

@@ -42,10 +42,10 @@ type PolicyScore struct {
 // scratch clone of the post-stage-3 lattice, corridor model and layout,
 // fanned out across the worker pool. A fixed total rule picks the winner
 // (routed nets desc, wirelength asc, lowest policy index), and only the
-// winner is replayed on the real lattice with the real tracer and memos
-// attached — the race itself is silent and side-effect-free, which is
-// what makes the portfolio run byte-identical to a solo run of the
-// winning policy at any worker count.
+// winner is replayed on the real lattice with the real tracer attached —
+// the race itself is silent and side-effect-free, which is what makes the
+// portfolio run byte-identical to a solo run of the winning policy at any
+// worker count.
 //
 // The winner's registry index is returned so the caller can pin the rest
 // of the flow (the real rip-up rounds) to the same ordering the winning
@@ -56,18 +56,12 @@ func portfolioRoute(ctx context.Context, d *design.Design, model *ctile.Model, s
 	nop := obs.Nop()
 	err := par.ForEach(ctx, opts.Workers, k, func(i int) error {
 		// Candidates run single-worker and unobserved: Workers=1 keeps a
-		// candidate's inner fan-outs off the already-saturated pool, and
-		// nil tracer/memos mean the race leaves no trace — only the
-		// winner's replay performs tracer and memo side effects.
-		policy := i
-		copts := opts
+		// candidate's inner fan-outs off the already-saturated pool, and a
+		// nil tracer means the race leaves no trace — only the winner's
+		// replay emits one.
+		copts := WithOrderPolicy(opts, i)
 		copts.Workers = 1
-		copts.Speculative = false
 		copts.Tracer = nil
-		copts.SearchMemo = nil
-		copts.CorridorMemo = nil
-		copts.OrderPortfolio = 0
-		copts.soloPolicy = &policy
 
 		la2 := la.CloneScratch()
 		lay2 := lay.Clone()
@@ -120,13 +114,7 @@ func portfolioRoute(ctx context.Context, d *design.Design, model *ctile.Model, s
 		Candidates: scores,
 	}
 
-	// Replay the winner on the real state with the real observers — the
-	// one place the race touches the caller's lattice, model and layout.
-	ropts := opts
-	ropts.OrderPortfolio = 0
-	ropts.soloPolicy = &win
-	if ropts.Speculative {
-		return win, speculativeRoute(ctx, d, model, sites, la, lay, ropts, res, tr)
-	}
-	return win, sequentialRoute(ctx, d, model, sites, la, lay, ropts, res, tr)
+	// Replay the winner on the real state with the real tracer — the one
+	// place the race touches the caller's lattice, model and layout.
+	return win, sequentialRoute(ctx, d, model, sites, la, lay, WithOrderPolicy(opts, win), res, tr)
 }

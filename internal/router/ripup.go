@@ -127,10 +127,6 @@ func rebuildLattice(d *design.Design, lay *layout.Layout, opts Options) (*lattic
 	if err != nil {
 		return nil, err
 	}
-	// Attach before the re-commits: the candidate lattice journals its
-	// rebuilt occupancy into the shared memo so candidate-world searches
-	// memoize (and replay) exactly like the primary lattice's.
-	la.AttachMemo(opts.SearchMemo)
 	for i := range lay.Routes {
 		r := &lay.Routes[i]
 		steps := make([]lattice.PathStep, len(r.Pts))

@@ -44,51 +44,34 @@ type Options struct {
 	// of ripping blocking nets and re-routing. 0 disables it.
 	RipUpRounds int
 
-	// NetOrder selects the sequential-stage routing order.
-	NetOrder NetOrder
+	// OrderPolicy is the ordering-registry index (policy.go) of the
+	// sequential-stage net order: 0 routes shortest nets first (the
+	// default), 1 longest first, 2 most-congested first, and so on up to
+	// MaxPortfolio-1. Values outside [0, MaxPortfolio) are rejected.
+	OrderPolicy int
 
 	// OrderPortfolio, when positive, races the first OrderPortfolio
-	// policies of the ordering registry (policy.go) through stage 4: each
-	// candidate runs the full sequential loop (plus rip-up, when enabled)
-	// on its own scratch lattice/model clone across the worker pool, a
-	// fixed total rule picks the winner (routed nets desc, wirelength
-	// asc, lowest policy index), and only the winner is replayed on the
-	// real lattice with the real tracer/memo attached. The result is
-	// byte-identical at any worker count and equals a solo run of the
-	// winning policy. Values above MaxPortfolio are rejected; 0 disables
-	// racing and stage 4 uses NetOrder directly. When racing is on,
-	// NetOrder is ignored (policy 0, shortest-first, anchors the
-	// portfolio as the baseline candidate).
+	// policies of the ordering registry through stage 4: each candidate
+	// runs the full sequential loop (plus rip-up, when enabled) on its own
+	// scratch lattice/model clone across the worker pool, a fixed total
+	// rule picks the winner (routed nets desc, wirelength asc, lowest
+	// policy index), and only the winner is replayed on the real lattice
+	// with the real tracer attached. The result is byte-identical at any
+	// worker count and equals a solo run of the winning policy. Values
+	// above MaxPortfolio are rejected; 0 disables racing and stage 4 uses
+	// OrderPolicy directly. When racing is on, OrderPolicy is ignored
+	// (policy 0, shortest-first, anchors the portfolio as the baseline
+	// candidate).
 	OrderPortfolio int
-
-	// soloPolicy pins stage 4 to one registry policy, bypassing both
-	// NetOrder and OrderPortfolio. Set via WithOrderPolicy; the portfolio
-	// racer uses it internally to run candidates and replay the winner,
-	// and qa uses it for the escalation ladder and the winner-equals-solo
-	// oracle.
-	soloPolicy *int
 
 	// Workers bounds the worker pool the flow's data-parallel stages fan
 	// out on: preprocessing's grid graph and candidate construction, the
-	// stage-2 region-mask prebuild, the stage-3 tile warm-up and the
-	// congested-order overlap count. 0 means GOMAXPROCS, 1 forces the
-	// plain sequential path. Results are byte-identical at every value —
-	// the qa determinism matrix holds the flow to that contract.
+	// stage-2 region-mask prebuild, the stage-3 tile warm-up, the
+	// congested-order overlap count and the portfolio race. 0 means
+	// GOMAXPROCS, 1 forces the plain sequential path. Results are
+	// byte-identical at every value — the qa determinism matrix holds the
+	// flow to that contract.
 	Workers int
-
-	// Speculative enables the speculative stage-4 scheduler: batches of
-	// sequential-stage nets are routed concurrently on the worker pool
-	// against a frozen lattice, and a serial commit arbiter accepts each
-	// net's speculative result only when footprint proofs show the
-	// sequential loop would have derived it bit for bit — everything else
-	// replays live in exact sequential position. Committed results are
-	// therefore byte-identical to the plain sequential loop at any worker
-	// count (the qa speculative-equivalence matrix enforces fingerprint,
-	// metrics and encoded-result equality); only the spec.* counters
-	// reveal speculation happened. With Workers == 1 speculation still
-	// runs (inline) and must still match — that is the cheapest
-	// equivalence check the harness has.
-	Speculative bool
 
 	// Tracer, when non-nil, receives stage spans (tagged with pprof
 	// labels), per-net route events, counters and distribution samples
@@ -101,35 +84,7 @@ type Options struct {
 	// to an untraced run. The qa harness enforces this
 	// (TestMetricsBridgeDeterminism) alongside the worker matrix.
 	Tracer obs.Tracer
-
-	// SearchMemo, when non-nil, records this run's A* searches and serves
-	// provably-unchanged ones from a previous run's recordings (see
-	// internal/lattice memo.go). Like Tracer it cannot change results —
-	// a memo hit is only taken when the identical search would be
-	// re-derived — so routes stay byte-identical to an un-memoized run;
-	// it is not part of the wire format and never serialized.
-	SearchMemo *lattice.Memo
-
-	// CorridorMemo is SearchMemo's counterpart for the stage-4 tile-graph
-	// corridor searches (see internal/ctile memo.go). Same contract:
-	// strictly observational, never serialized.
-	CorridorMemo *ctile.CorridorMemo
 }
-
-// NetOrder is a sequential-stage net ordering strategy.
-type NetOrder uint8
-
-// Net ordering strategies.
-const (
-	// OrderShortest routes short nets first (the default; cheap nets claim
-	// resources that barely constrain others).
-	OrderShortest NetOrder = iota
-	// OrderLongest routes long nets first.
-	OrderLongest
-	// OrderCongested routes nets whose bounding boxes overlap the most
-	// other nets first (hardest-first).
-	OrderCongested
-)
 
 // DefaultOptions returns the paper's experimental configuration.
 func DefaultOptions() Options {
@@ -225,8 +180,8 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	if opts.OrderPortfolio < 0 || opts.OrderPortfolio > MaxPortfolio {
 		return nil, nil, fmt.Errorf("router: order portfolio %d out of range [0, %d]", opts.OrderPortfolio, MaxPortfolio)
 	}
-	if opts.soloPolicy != nil && (*opts.soloPolicy < 0 || *opts.soloPolicy >= MaxPortfolio) {
-		return nil, nil, fmt.Errorf("router: solo ordering policy %d out of range [0, %d)", *opts.soloPolicy, MaxPortfolio)
+	if opts.OrderPolicy < 0 || opts.OrderPolicy >= MaxPortfolio {
+		return nil, nil, fmt.Errorf("router: order policy %d out of range [0, %d)", opts.OrderPolicy, MaxPortfolio)
 	}
 
 	tr := obs.Or(opts.Tracer)
@@ -235,12 +190,6 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 		return nil, nil, err
 	}
 	la.SetTracer(tr)
-	la.AttachMemo(opts.SearchMemo)
-	if opts.Speculative && opts.SearchMemo == nil {
-		// Speculative commit validation needs the journal's footprint
-		// hashes even when no cross-run memo was supplied.
-		la.AttachJournal()
-	}
 	lay := layout.New(d)
 	res := &Result{Layout: lay, TotalNets: len(d.Nets)}
 
@@ -279,10 +228,6 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	end = obs.Stage(tr, "graph")
 	model := ctile.NewModel(d, opts.GlobalCells)
 	model.SetTracer(tr)
-	model.AttachMemo(opts.CorridorMemo)
-	if opts.Speculative && opts.CorridorMemo == nil {
-		model.AttachJournal()
-	}
 	seedModel(model, lay)
 	// Warm every (layer, cell) tile decomposition on the worker pool. The
 	// per-cell builds are pure functions of the seeded blockers, and the
@@ -303,13 +248,10 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	model.TraceStats(tr, sites)
 	end(obs.Int("tiles", res.TileCount), obs.Int("via_sites", len(sites)))
 
-	// Stage 4: Sequential A*-search routing on the tile graph. The
-	// speculative scheduler commits byte-identical results, so the stage
-	// keeps its name and counters either way.
+	// Stage 4: Sequential A*-search routing on the tile graph.
 	end = obs.Stage(tr, "sequential")
 	var seqErr error
-	switch {
-	case opts.OrderPortfolio > 0 && opts.soloPolicy == nil:
+	if opts.OrderPortfolio > 0 {
 		// Portfolio racing: candidates run silently on scratch clones,
 		// then the winner is replayed here on the real lattice. Pin the
 		// rest of the flow (the rip-up rounds below) to the winning
@@ -317,13 +259,8 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 		// that policy.
 		var win int
 		win, seqErr = portfolioRoute(ctx, d, model, sites, la, lay, opts, res, tr)
-		if seqErr == nil {
-			opts.soloPolicy = &win
-			opts.OrderPortfolio = 0
-		}
-	case opts.Speculative:
-		seqErr = speculativeRoute(ctx, d, model, sites, la, lay, opts, res, tr)
-	default:
+		opts = WithOrderPolicy(opts, win)
+	} else {
 		seqErr = sequentialRoute(ctx, d, model, sites, la, lay, opts, res, tr)
 	}
 	model.FlushTrace()
@@ -406,10 +343,10 @@ func concurrentRoute(ctx context.Context, d *design.Design, a *fanout.Analysis, 
 			return routed, fmt.Errorf("router: %w", err)
 		}
 		// Route inner (short-span) chords first so nested nets claim the
-		// tracks nearest their pads. Ties break on stable net identity so
-		// that editing one net's pads cannot reshuffle the commit order of
-		// unrelated equal-span nets (incremental reroutes depend on
-		// unchanged nets keeping their relative order).
+		// tracks nearest their pads. Equal spans break on net ID, then net
+		// index, so the order is total. Whether this tie-break or the
+		// chord order MPSC returns routes more nets is open; the first
+		// ROADMAP item measures it.
 		sort.Slice(picked, func(i, j int) bool {
 			si, sj := chordSpan(chords, picked[i]), chordSpan(chords, picked[j])
 			if si != sj {
@@ -584,11 +521,8 @@ type seqJob struct {
 }
 
 // buildSeqJobs collects the nets stage 4 must route and sorts them into
-// the configured commit order — the order both the sequential loop and
-// the speculative scheduler's arbiter are bound to. The ordering itself
-// comes from the policy registry (policy.go): an explicit solo pin set
-// by WithOrderPolicy wins, otherwise Options.NetOrder selects among the
-// registry's first three entries.
+// commit order with the registry policy Options.OrderPolicy names
+// (policy.go).
 func buildSeqJobs(ctx context.Context, d *design.Design, lay *layout.Layout, opts Options) ([]seqJob, error) {
 	var jobs []seqJob
 	for ni := range d.Nets {
@@ -599,7 +533,7 @@ func buildSeqJobs(ctx context.Context, d *design.Design, lay *layout.Layout, opt
 		p1, p2 := d.PadCenter(nn.P1), d.PadCenter(nn.P2)
 		jobs = append(jobs, seqJob{net: ni, direct: geom.OctDist(p1, p2), bbox: geom.RectOf(p1, p2)})
 	}
-	if err := policyForOptions(opts).order(ctx, d, jobs, opts.Workers); err != nil {
+	if err := policyByIndex(opts.OrderPolicy).order(ctx, d, jobs, opts.Workers); err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
 	return jobs, nil
@@ -613,105 +547,94 @@ func seqViaCost(opts Options) float64 {
 	return 3 * float64(opts.Pitch)
 }
 
-// sequentialRoute completes the remaining nets with tile-graph corridors
-// realized on the lattice, falling back to unrestricted multi-layer search.
-// It stops with ctx's error at the first cancelled per-net checkpoint.
+// sequentialRoute completes the remaining nets in commit order: each net
+// searches the tile graph for a corridor, routes on the lattice inside it,
+// falls back to an unrestricted multi-layer search when either step
+// fails, and on success commits its path and re-partitions the tiles the
+// path crossed (§III-D). It stops with ctx's error at the first cancelled
+// per-net checkpoint.
 func sequentialRoute(ctx context.Context, d *design.Design, model *ctile.Model, sites []ctile.ViaSite, la *lattice.Lattice, lay *layout.Layout, opts Options, res *Result, tr obs.Tracer) error {
 	jobs, err := buildSeqJobs(ctx, d, lay, opts)
 	if err != nil {
 		return err
 	}
 	viaCost := seqViaCost(opts)
+	traced := tr.Enabled()
 	for _, jb := range jobs {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		routeNetLive(ctx, d, model, sites, la, lay, opts, res, tr, jb.net, viaCost)
+		net := jb.net
+		nn := d.Nets[net]
+		from, fromLayer := terminal(d, nn.P1)
+		to, toLayer := terminal(d, nn.P2)
+
+		var path []lattice.PathStep
+		var ok bool
+		var corSt, fbSt lattice.SearchStats
+		mode := "fallback"
+		corridor, cok := model.FindCorridor(from, fromLayer, to, toLayer, sites, viaCost)
+		if cok {
+			region := corridorMask(la, model, corridor, opts.Pitch)
+			req := lattice.Request{
+				Net: net, From: from, To: to,
+				FromLayer: fromLayer, ToLayer: toLayer,
+				RegionMask: region, ViaCost: opts.ViaCost,
+				Ctx: ctx,
+			}
+			if traced {
+				req.Stats = &corSt
+			}
+			path, _, ok = la.Route(req)
+			if ok {
+				mode = "corridor"
+				res.CorridorRouted++
+			}
+		}
+		if !ok {
+			req := lattice.Request{
+				Net: net, From: from, To: to,
+				FromLayer: fromLayer, ToLayer: toLayer,
+				ViaCost: opts.ViaCost,
+				Ctx:     ctx,
+			}
+			if traced {
+				req.Stats = &fbSt
+			}
+			path, _, ok = la.Route(req)
+			if ok {
+				res.FallbackRouted++
+			}
+		}
+		if traced {
+			// Report the combined effort of both attempts.
+			corSt.NodesExpanded += fbSt.NodesExpanded
+			corSt.NodesVisited += fbSt.NodesVisited
+			emitNetEvent(tr, net, "sequential", mode, fromLayer, path, &corSt, ok)
+		}
+		if !ok {
+			continue
+		}
+		la.Commit(path, net)
+		lay.AddPath(net, path)
+		lay.MarkRouted(net)
+		res.SequentialRouted++
+		for k := 0; k+1 < len(path); k++ {
+			a, b := path[k], path[k+1]
+			if a.Layer == b.Layer {
+				if !a.Pt.Eq(b.Pt) {
+					model.AddWire(a.Layer, geom.Seg(a.Pt, b.Pt))
+				}
+			} else {
+				slab := a.Layer
+				if b.Layer < slab {
+					slab = b.Layer
+				}
+				model.AddVia(slab, a.Pt)
+			}
+		}
 	}
 	return nil
-}
-
-// routeNetLive is the sequential stage's per-net body: corridor search,
-// masked A*, unrestricted fallback, the route event, and on success the
-// commit. The speculative scheduler replays aborted nets through this
-// exact function, so it IS the definition of stage-4 behavior.
-func routeNetLive(ctx context.Context, d *design.Design, model *ctile.Model, sites []ctile.ViaSite, la *lattice.Lattice, lay *layout.Layout, opts Options, res *Result, tr obs.Tracer, net int, viaCost float64) {
-	traced := tr.Enabled()
-	nn := d.Nets[net]
-	from, fromLayer := terminal(d, nn.P1)
-	to, toLayer := terminal(d, nn.P2)
-
-	var path []lattice.PathStep
-	var ok bool
-	var corSt, fbSt lattice.SearchStats
-	mode := "fallback"
-	corridor, cok := model.FindCorridor(from, fromLayer, to, toLayer, sites, viaCost)
-	if cok {
-		region := corridorMask(la, model, corridor, opts.Pitch)
-		req := lattice.Request{
-			Net: net, From: from, To: to,
-			FromLayer: fromLayer, ToLayer: toLayer,
-			RegionMask: region, ViaCost: opts.ViaCost,
-			Ctx: ctx,
-		}
-		if traced {
-			req.Stats = &corSt
-		}
-		path, _, ok = la.Route(req)
-		if ok {
-			mode = "corridor"
-			res.CorridorRouted++
-		}
-	}
-	if !ok {
-		req := lattice.Request{
-			Net: net, From: from, To: to,
-			FromLayer: fromLayer, ToLayer: toLayer,
-			ViaCost: opts.ViaCost,
-			Ctx:     ctx,
-		}
-		if traced {
-			req.Stats = &fbSt
-		}
-		path, _, ok = la.Route(req)
-		if ok {
-			res.FallbackRouted++
-		}
-	}
-	if traced {
-		// Report the combined effort of both attempts.
-		corSt.NodesExpanded += fbSt.NodesExpanded
-		corSt.NodesVisited += fbSt.NodesVisited
-		emitNetEvent(tr, net, "sequential", mode, fromLayer, path, &corSt, ok)
-	}
-	if !ok {
-		return
-	}
-	commitSeqPath(model, la, lay, res, net, path)
-}
-
-// commitSeqPath applies one stage-4 net's committed path: lattice
-// occupancy, layout geometry, counters, and the incremental tile-model
-// update re-partitioning the frames the new net crossed.
-func commitSeqPath(model *ctile.Model, la *lattice.Lattice, lay *layout.Layout, res *Result, net int, path []lattice.PathStep) {
-	la.Commit(path, net)
-	lay.AddPath(net, path)
-	lay.MarkRouted(net)
-	res.SequentialRouted++
-	for k := 0; k+1 < len(path); k++ {
-		a, b := path[k], path[k+1]
-		if a.Layer == b.Layer {
-			if !a.Pt.Eq(b.Pt) {
-				model.AddWire(a.Layer, geom.Seg(a.Pt, b.Pt))
-			}
-		} else {
-			slab := a.Layer
-			if b.Layer < slab {
-				slab = b.Layer
-			}
-			model.AddVia(slab, a.Pt)
-		}
-	}
 }
 
 func terminal(d *design.Design, r design.PadRef) (geom.Point, int) {
@@ -727,15 +650,11 @@ func terminal(d *design.Design, r design.PadRef) (geom.Point, int) {
 // replaces the seed's per-probe closure that linearly scanned every
 // corridor octagon for every A* neighbor — the sequential stage's hot path.
 //
-// Masking over the fixed cell geometry instead of the exact tile octagons
-// keeps the mask — and with it the masked search's result — insensitive to
-// within-cell tile re-partitioning: an edit that shifts an unrelated
-// clearance band inside a crossed cell no longer changes this net's search
-// region unless the corridor's cell sequence itself changes. Without this,
-// a one-pad ECO edit cascades tile-shape noise into the masks (and thus
-// the equal-cost path choices) of most nets routed after it. The mask is
-// still a corridor — the union of the global route's crossed cells — per
-// the paper's restriction of detailed routing to the global region.
+// The mask is the union of the global route's crossed cells, so detailed
+// routing stays inside the global region as the paper requires (§III-D).
+// Masking whole cells instead of the exact tile octagons gives the search
+// more room; whether that routes more nets than octagon masks is open, and
+// the first ROADMAP item measures it.
 func corridorMask(la *lattice.Lattice, model *ctile.Model, corridor []ctile.TileRef, pitch int64) *lattice.RegionMask {
 	m := la.NewRegionMask()
 	for _, ref := range corridor {

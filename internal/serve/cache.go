@@ -9,7 +9,6 @@ import (
 
 	"rdlroute/internal/codec"
 	"rdlroute/internal/design"
-	"rdlroute/internal/eco"
 	"rdlroute/internal/metrics"
 	"rdlroute/internal/router"
 )
@@ -18,12 +17,11 @@ import (
 // routing results keyed by the canonical codec encoding of (design,
 // options), so a resubmission of byte-identical inputs is answered
 // without touching a worker's router. Entries also index their design by
-// its content hash, which is how delta jobs resolve the base design (and,
-// when the entry carries an eco plan, the recorded search memo) that
-// their rdl-design-delta/v1 document references.
+// its content hash, which is how delta jobs resolve the base design their
+// rdl-design-delta/v1 document references.
 //
-// The cache is bounded two ways — entry count and retained bytes (result
-// encoding plus any plan's memo) — and evicts least-recently-used first.
+// The cache is bounded two ways — entry count and retained bytes (the
+// encoded size of each result) — and evicts least-recently-used first.
 // Keys are exact content addresses: an option or design differing in any
 // canonical byte is a different entry, so a hit can never return a result
 // the same inputs would not reproduce.
@@ -49,7 +47,6 @@ type cacheEntry struct {
 	designHash string
 	design     *design.Design
 	result     *router.Result
-	plan       *eco.Plan // non-nil when the run recorded a search memo
 	size       int64
 }
 
@@ -72,9 +69,9 @@ func newResultCache(entries int, maxBytes int64) *resultCache {
 // encoding, Workers normalized to 0 — the determinism matrix guarantees
 // results are byte-identical at every worker count, so worker count must
 // not split the key space. OrderPortfolio is deliberately NOT normalized:
-// unlike Workers/Speculative it changes which ordering policy commits the
-// layout, so a portfolio job and a solo job are different results and
-// must not share a cache slot. Callers must pass the RESOLVED options
+// unlike Workers it changes which ordering policy commits the layout, so
+// a portfolio job and a solo job are different results and must not
+// share a cache slot. Callers must pass the RESOLVED options
 // (after server-config defaults are applied) for the same reason. Returns
 // "" (uncacheable) if either encoding fails.
 func cacheKey(d *design.Design, opts router.Options) string {
@@ -83,10 +80,6 @@ func cacheKey(d *design.Design, opts router.Options) string {
 		return ""
 	}
 	opts.Workers = 0
-	opts.Speculative = false
-	opts.Tracer = nil
-	opts.SearchMemo = nil
-	opts.CorridorMemo = nil
 	if err := codec.EncodeOptions(&buf, opts); err != nil {
 		return ""
 	}
@@ -117,27 +110,25 @@ func (c *resultCache) get(key string) (*router.Result, bool) {
 	return el.Value.(*cacheEntry).result, true
 }
 
-// base resolves a design (and the base plan, when one was recorded) by
-// its content hash, for delta application. Counts as a recency touch but
-// not as a hit/miss — the hit/miss series tracks result reuse.
-func (c *resultCache) base(designHash string) (*design.Design, *eco.Plan, bool) {
+// base resolves a design by its content hash, for delta application.
+// Counts as a recency touch but not as a hit/miss — the hit/miss series
+// tracks result reuse.
+func (c *resultCache) base(designHash string) (*design.Design, bool) {
 	if c == nil || designHash == "" {
-		return nil, nil, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byBase[designHash]
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.design, e.plan, true
+	return el.Value.(*cacheEntry).design, true
 }
 
-// put inserts a completed run. The entry's size is the encoded result
-// plus the plan's memo retention, so the byte bound tracks real memory.
-func (c *resultCache) put(key string, d *design.Design, res *router.Result, plan *eco.Plan) {
+// put inserts a completed run. The entry's size is the encoded result.
+func (c *resultCache) put(key string, d *design.Design, res *router.Result) {
 	if c == nil || key == "" || res == nil {
 		return
 	}
@@ -150,24 +141,14 @@ func (c *resultCache) put(key string, d *design.Design, res *router.Result, plan
 		return
 	}
 	size := int64(buf.Len())
-	if plan != nil {
-		_, _, memoBytes := plan.MemoStats()
-		size += memoBytes
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		// Same content address → same result bytes; refresh recency and
-		// keep the richer entry (a plan beats no plan).
-		e := el.Value.(*cacheEntry)
-		if e.plan == nil && plan != nil {
-			c.bytes += size - e.size
-			e.result, e.plan, e.size = res, plan, size
-		}
+		// Same content address → same result bytes; refresh recency.
 		c.lru.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{key: key, designHash: designHash, design: d, result: res, plan: plan, size: size}
+	e := &cacheEntry{key: key, designHash: designHash, design: d, result: res, size: size}
 	el := c.lru.PushFront(e)
 	c.byKey[key] = el
 	c.byBase[designHash] = el
@@ -213,7 +194,7 @@ func (c *resultCache) stats() (entries int, bytes, hits, misses, evicted int64) 
 func registerCacheMetrics(reg *metrics.Registry, c *resultCache) {
 	reg.GaugeFunc("rdl_cache_entries", "Result-cache entries resident.",
 		func() float64 { n, _, _, _, _ := c.stats(); return float64(n) })
-	reg.GaugeFunc("rdl_cache_bytes", "Result-cache retained bytes (results plus eco memos).",
+	reg.GaugeFunc("rdl_cache_bytes", "Result-cache retained bytes (encoded results).",
 		func() float64 { _, b, _, _, _ := c.stats(); return float64(b) })
 	hits := reg.Counter("rdl_cache_hits_total", "Result-cache hits.")
 	misses := reg.Counter("rdl_cache_misses_total", "Result-cache misses.")

@@ -62,12 +62,12 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("variant designs share a content address")
 	}
 
-	c.put(keys[0], designs[0], stubResult(designs[0]), nil)
-	c.put(keys[1], designs[1], stubResult(designs[1]), nil)
+	c.put(keys[0], designs[0], stubResult(designs[0]))
+	c.put(keys[1], designs[1], stubResult(designs[1]))
 	if _, ok := c.get(keys[0]); !ok { // refresh 0 → 1 is now LRU
 		t.Fatal("entry 0 missing before capacity reached")
 	}
-	c.put(keys[2], designs[2], stubResult(designs[2]), nil)
+	c.put(keys[2], designs[2], stubResult(designs[2]))
 
 	if _, ok := c.get(keys[1]); ok {
 		t.Error("entry 1 should have been evicted (LRU after entry 0 was touched)")
@@ -75,10 +75,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get(keys[0]); !ok {
 		t.Error("entry 0 evicted despite recency refresh")
 	}
-	if _, _, ok := c.base(hashes[1]); ok {
+	if _, ok := c.base(hashes[1]); ok {
 		t.Error("byBase still resolves the evicted design")
 	}
-	if base, _, ok := c.base(hashes[2]); !ok || len(base.Nets) != len(designs[2].Nets) {
+	if base, ok := c.base(hashes[2]); !ok || len(base.Nets) != len(designs[2].Nets) {
 		t.Errorf("byBase lookup of resident design failed (ok=%v)", ok)
 	}
 	entries, bytes_, hits, misses, evicted := c.stats()
@@ -96,9 +96,9 @@ func TestCacheByteBound(t *testing.T) {
 	d := dense1(t)
 	c := newResultCache(100, 1) // absurdly small byte budget
 	opts := router.DefaultOptions()
-	c.put(cacheKey(d, opts), d, stubResult(d), nil)
+	c.put(cacheKey(d, opts), d, stubResult(d))
 	v := variant(t, d, 1)
-	c.put(cacheKey(v, opts), v, stubResult(v), nil)
+	c.put(cacheKey(v, opts), v, stubResult(v))
 	entries, _, _, _, evicted := c.stats()
 	if entries != 1 || evicted != 1 {
 		t.Errorf("entries %d evicted %d, want 1/1 (byte bound keeps one entry)", entries, evicted)
@@ -122,7 +122,7 @@ func TestCacheKeyNormalizesWorkers(t *testing.T) {
 	}
 }
 
-// TestCacheKeySplitsOnPortfolio: unlike Workers/Speculative, the ordering
+// TestCacheKeySplitsOnPortfolio: unlike Workers, the ordering
 // portfolio changes which policy commits the layout, so every portfolio
 // size must address its own cache slot.
 func TestCacheKeySplitsOnPortfolio(t *testing.T) {
@@ -197,8 +197,8 @@ func TestCacheHitMintsJobAndFlight(t *testing.T) {
 
 // TestHTTPDeltaJob routes dense1 for real, then submits an
 // rdl-design-delta/v1 job against its content hash. The delta job must
-// reroute incrementally and produce bytes identical to a cold route of
-// the edited design; an unknown base hash is a 400.
+// produce bytes identical to a local eco.Apply plus router.RouteContext
+// of the edited design; an unknown base hash is a 400.
 func TestHTTPDeltaJob(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := New(Config{Workers: 1, QueueDepth: 4, Registry: reg})
@@ -219,7 +219,7 @@ func TestHTTPDeltaJob(t *testing.T) {
 		return resp, jv
 	}
 
-	// Base route (cold, recorded into the cache with its eco plan).
+	// Base route (cold, recorded into the cache).
 	var db bytes.Buffer
 	if err := codec.EncodeDesign(&db, d); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestHTTPDeltaJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := eco.Route(context.Background(), edited, router.DefaultOptions())
+	cold, err := router.RouteContext(context.Background(), edited, router.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,18 +285,18 @@ func TestHTTPDeltaJob(t *testing.T) {
 		t.Fatalf("delta-job result does not decode: %v", err)
 	}
 	gotRes.Runtime = 0
-	plan.Result.Runtime = 0
+	cold.Runtime = 0
 	var gotBytes, want bytes.Buffer
 	if err := codec.EncodeResult(&gotBytes, gotRes); err != nil {
 		t.Fatal(err)
 	}
-	if err := codec.EncodeResult(&want, plan.Result); err != nil {
+	if err := codec.EncodeResult(&want, cold); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotBytes.Bytes(), want.Bytes()) {
 		t.Errorf("delta-job result bytes differ from cold route of the edited design\ngot:  routed=%d wl=%v routability=%v\nwant: routed=%d wl=%v routability=%v",
 			gotRes.RoutedNets, gotRes.Wirelength, gotRes.Routability,
-			plan.Result.RoutedNets, plan.Result.Wirelength, plan.Result.Routability)
+			cold.RoutedNets, cold.Wirelength, cold.Routability)
 	}
 
 	// The cache families are on the registry in Prometheus text form.

@@ -25,8 +25,8 @@ const JobSchema = "rdl-job/v1"
 // codec documents carrying their own schema fields. A Delta request
 // routes the edited design produced by applying the delta to the base
 // design its "base" hash names — the base must be resident in the
-// server's result cache (route it first), and when the cached run
-// recorded a search memo the job reroutes incrementally.
+// server's result cache (route it first). The edited design then routes
+// cold like any other job.
 type jobRequest struct {
 	Schema    string          `json:"schema"`
 	Benchmark string          `json:"benchmark,omitempty"` // "dense1".."dense5"
@@ -134,7 +134,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var d *design.Design
-	var basePlan *eco.Plan
 	selected := 0
 	for _, set := range []bool{req.Benchmark != "", req.Design != nil, req.Delta != nil} {
 		if set {
@@ -157,7 +156,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				errors.New(`delta has no base hash (set "base" to the design's content hash)`))
 			return
 		}
-		base, plan, ok := s.cache.base(dl.Base)
+		base, ok := s.cache.base(dl.Base)
 		if !ok {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("base design %s not in the result cache (route it first, then resubmit the delta)", dl.Base))
@@ -167,7 +166,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("delta does not apply: %w", err))
 			return
 		}
-		basePlan = plan
 	case req.Benchmark != "":
 		spec, err := design.DenseSpec(req.Benchmark)
 		if err != nil {
@@ -200,7 +198,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	j, err := s.submitJob(d, opts, timeout, r.Header.Get("Idempotency-Key"), basePlan)
+	j, err := s.Submit(d, opts, timeout, r.Header.Get("Idempotency-Key"))
 	switch {
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")

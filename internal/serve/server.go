@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"rdlroute/internal/design"
-	"rdlroute/internal/eco"
 	"rdlroute/internal/metrics"
 	"rdlroute/internal/obs"
 	"rdlroute/internal/router"
@@ -49,22 +48,13 @@ type Config struct {
 	// fills the cores) is the usual choice; 0 keeps the router default
 	// of GOMAXPROCS. Results are identical at every value.
 	RouteWorkers int
-	// RouteSpeculative turns on Options.Speculative for every job that
-	// did not already request it. Results are byte-identical either way
-	// (the qa speculative-equivalence gate), so like Workers it never
-	// splits the result-cache key space.
-	RouteSpeculative bool
 	// RoutePortfolio is the default Options.OrderPortfolio applied to
-	// jobs whose submitted options leave it 0. Unlike RouteWorkers and
-	// RouteSpeculative this default changes results (a different ordering
-	// policy may win), so the resolved value is part of the result-cache
-	// key: the same design routed with and without a portfolio occupies
-	// two cache slots.
+	// jobs whose submitted options leave it 0. Unlike RouteWorkers this
+	// default changes results (a different ordering policy may win), so
+	// the resolved value is part of the result-cache key: the same design
+	// routed with and without a portfolio occupies two cache slots.
 	RoutePortfolio int
 	// Route substitutes the routing function (default router.RouteContext).
-	// Leaving it nil also enables eco search-memo recording on cache
-	// misses, so later delta jobs against the cached result reroute
-	// incrementally; a substituted Route routes every miss from scratch.
 	Route RouteFunc
 
 	// CacheEntries bounds the content-addressed result cache (default 32
@@ -73,8 +63,8 @@ type Config struct {
 	// answered from the cache inside the worker — the job and its flight
 	// record still exist, tagged with the cache outcome.
 	CacheEntries int
-	// CacheBytes bounds the cache's retained bytes — encoded results plus
-	// recorded eco memos (default 256 MiB; 0 means the default).
+	// CacheBytes bounds the cache's retained bytes, counted as the encoded
+	// size of each cached result (default 256 MiB; 0 means the default).
 	CacheBytes int64
 
 	// Registry receives the server's production metrics (job outcome
@@ -114,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
+	}
+	if c.Route == nil {
+		c.Route = router.RouteContext
 	}
 	return c
 }
@@ -166,10 +159,8 @@ type Job struct {
 
 	// cacheOutcome records how the result cache treated this job
 	// ("hit", "miss", or "" when caching is disabled or the job never
-	// ran); basePlan carries the resolved base plan of a delta job, so
-	// the worker reroutes incrementally instead of cold.
+	// ran).
 	cacheOutcome string
-	basePlan     *eco.Plan
 
 	trace  *lockedBuffer
 	tracer *obs.JSONL
@@ -273,18 +264,6 @@ func (s *Server) Registry() *metrics.Registry { return s.cfg.Registry }
 // existing job on replay instead of enqueueing a duplicate. A full queue
 // returns ErrBusy; a draining server returns ErrDraining.
 func (s *Server) Submit(d *design.Design, opts router.Options, timeout time.Duration, idemKey string) (*Job, error) {
-	return s.submitJob(d, opts, timeout, idemKey, nil)
-}
-
-// SubmitDelta enqueues an incremental job: the edited design (already
-// produced by eco.Apply) rides the normal queue, but the worker reroutes
-// against the base plan's recorded memo instead of routing cold. The
-// result is byte-identical either way; only the latency differs.
-func (s *Server) SubmitDelta(d *design.Design, basePlan *eco.Plan, opts router.Options, timeout time.Duration, idemKey string) (*Job, error) {
-	return s.submitJob(d, opts, timeout, idemKey, basePlan)
-}
-
-func (s *Server) submitJob(d *design.Design, opts router.Options, timeout time.Duration, idemKey string, basePlan *eco.Plan) (*Job, error) {
 	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
 		timeout = s.cfg.JobTimeout
 	}
@@ -315,8 +294,6 @@ func (s *Server) submitJob(d *design.Design, opts router.Options, timeout time.D
 		Created: time.Now(),
 		done:    make(chan struct{}),
 		trace:   &lockedBuffer{},
-
-		basePlan: basePlan,
 	}
 	j.tracer = obs.NewJSONL(j.trace)
 	j.coll = obs.NewBoundedCollector(jobCollectorBound)
@@ -465,7 +442,6 @@ func (s *Server) run(j *Job) {
 	if opts.Workers == 0 {
 		opts.Workers = s.cfg.RouteWorkers
 	}
-	opts.Speculative = opts.Speculative || s.cfg.RouteSpeculative
 	if opts.OrderPortfolio == 0 {
 		opts.OrderPortfolio = s.cfg.RoutePortfolio
 	}
@@ -483,7 +459,6 @@ func (s *Server) run(j *Job) {
 	// cache says; a hit merely skips the routing work.
 	var res *router.Result
 	var err error
-	var plan *eco.Plan
 	cacheOutcome := ""
 	key := ""
 	if s.cache != nil {
@@ -499,24 +474,8 @@ func (s *Server) run(j *Job) {
 		}
 	}
 	if res == nil {
-		switch {
-		case s.cfg.Route != nil:
-			res, err = s.cfg.Route(ctx, j.d, opts)
-		case j.basePlan != nil:
-			// Incremental: replay the flow against the base plan's memo.
-			// Byte-identical to the cold route by the eco contract.
-			if plan, err = j.basePlan.RerouteDesign(ctx, j.d, opts); plan != nil {
-				res = plan.Result
-			}
-		default:
-			// Cold route, recording a search memo so a future delta job
-			// against this result reroutes incrementally.
-			if plan, err = eco.Route(ctx, j.d, opts); plan != nil {
-				res = plan.Result
-			}
-		}
-		if err == nil {
-			s.cache.put(key, j.d, res, plan)
+		if res, err = s.cfg.Route(ctx, j.d, opts); err == nil {
+			s.cache.put(key, j.d, res)
 		}
 	}
 	j.tracer.Flush()

@@ -45,15 +45,6 @@ echo "== determinism matrix: workers 1/2/8 at GOMAXPROCS=2 (-race) =="
 GOMAXPROCS=2 go test -race -count=1 -run \
   'TestWorkerDeterminism|TestRegressionParallelBatchBoundary|TestCancelMidParallelStage|TestConcurrentEmit' \
   ./internal/qa/ ./internal/router/ ./internal/obs/ ./internal/par/
-echo "== speculative gate: spec-on == sequential at GOMAXPROCS=2 (-race) =="
-# The speculative stage-4 contract: committed results byte-identical to
-# the plain sequential loop at every worker count, spec.* counters
-# worker-count-invariant, a pinned rollback-replay seed, the hand-built
-# conflict-injection designs, and cancellation mid-round leaving the
-# lattice untouched. Same interleaving discipline as the matrix above.
-GOMAXPROCS=2 go test -race -count=1 -run \
-  'TestSpeculativeEquivalence|TestRegressionSpeculativeReplay|TestSpecConflict|TestSpecStaleFootprintAbort|TestSpecAbortMetricsSeries|TestSpecEventsCommitOrderOnce|TestCancelMidSpeculation' \
-  ./internal/qa/ ./internal/router/
 echo "== portfolio gate: ordering race == solo winner at GOMAXPROCS=2 (-race) =="
 # The ordering-portfolio contract: racing K policies is byte-identical to
 # a solo run of the winning policy at every worker count, every policy
@@ -65,13 +56,13 @@ echo "== portfolio gate: ordering race == solo winner at GOMAXPROCS=2 (-race) ==
 GOMAXPROCS=2 go test -race -count=1 -run \
   'TestPortfolioDeterminismRandom|TestRegressionPortfolio|TestPortfolioMonotonicitySolo|TestPolicies|TestCongestedTieBreakPinned|TestCancelMidPortfolio' \
   ./internal/qa/ ./internal/router/
-echo "== eco gate: incremental reroute == cold route (-race) =="
-# The incremental-rerouting contract: for seeded random designs and
-# random deltas, rerouting through the base plan's recorded memo must be
-# byte-identical to cold-routing the edited design (fingerprint and
-# canonical rdl-result/v1 bytes). Race-capped sweep; the full-size sweep
-# runs race-free in the qa harness below.
-go test -race -count=1 -run 'TestECOIncrementalEqualsCold' ./internal/qa/ ./internal/eco/
+echo "== eco gate: random deltas apply and route clean (-race) =="
+# The delta contract: for seeded random designs and random deltas, the
+# edited design eco.Apply produces validates and routes with every
+# result oracle passing at workers 1 and 2, with identical fingerprints
+# and rdl-result/v1 bytes. Race-capped sweep; the full-size sweep runs
+# race-free in the qa harness below.
+go test -race -count=1 -run 'TestECODeltaSweep' ./internal/qa/
 echo "== qa harness: randomized DRC-oracle sweep =="
 # 200 seeded random designs through both routers, full oracle suite
 # (DRC, connectivity, codec round-trip, cancellation, differential and
