@@ -118,8 +118,8 @@ func TestPortfolioWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestPortfolioOptionValidation: out-of-range portfolio sizes and solo
-// pins fail fast, before any stage runs.
+// TestPortfolioOptionValidation: out-of-range portfolio sizes and order
+// policies fail fast, before any stage runs.
 func TestPortfolioOptionValidation(t *testing.T) {
 	d := genDense1(t)
 	opts := DefaultOptions()
@@ -131,8 +131,10 @@ func TestPortfolioOptionValidation(t *testing.T) {
 	if _, err := Route(d, opts); err == nil {
 		t.Error("negative OrderPortfolio accepted")
 	}
-	if _, err := Route(d, WithOrderPolicy(DefaultOptions(), MaxPortfolio)); err == nil {
-		t.Error("solo policy at MaxPortfolio accepted")
+	for _, i := range []int{-1, MaxPortfolio} {
+		if _, err := Route(d, WithOrderPolicy(DefaultOptions(), i)); err == nil {
+			t.Errorf("order policy %d accepted", i)
+		}
 	}
 }
 
