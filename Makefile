@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-short bench bench-compare bench-json bench-scaling bench-portfolio serve serve-smoke serve-bench metrics-smoke fmt qa qa-metrics fuzz
+.PHONY: build test verify verify-short bench bench-compare bench-json bench-scaling bench-portfolio serve serve-smoke metrics-smoke fmt qa qa-metrics fuzz
 
 build:
 	$(GO) build ./...
@@ -58,11 +58,6 @@ serve:
 # CI smoke: boot on a random port, route dense1 over HTTP, assert DRC-clean.
 serve-smoke:
 	$(GO) run ./cmd/rdlserver -smoke
-
-# Serving throughput (jobs/min) at 1/2/4 workers on dense1..dense3; the
-# numbers feed the EXPERIMENTS.md serving-throughput note.
-serve-bench:
-	$(GO) run ./cmd/rdlserver -throughput 1,2,4 -circuits dense1,dense2,dense3 -jobs 4
 
 # Metrics smoke: boot a server, route dense1, validate the /metrics
 # exposition with the in-repo parser and dump it for eyeballing.

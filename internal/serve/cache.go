@@ -30,16 +30,12 @@ type resultCache struct {
 	maxEntries int
 	maxBytes   int64
 
-	lru     *list.List               // of *cacheEntry, front = most recent
-	byKey   map[string]*list.Element // (design,opts) content address
-	byBase  map[string]*list.Element // design hash → newest entry holding it
-	bytes   int64
-	hits    int64
-	misses  int64
-	evicted int64
+	lru    *list.List               // of *cacheEntry, front = most recent
+	byKey  map[string]*list.Element // (design,opts) content address
+	byBase map[string]*list.Element // design hash → newest entry holding it
+	bytes  int64
 
-	// Counter hooks (set by registerCacheMetrics; nil until then).
-	cHits, cMisses, cEvict *metrics.Counter
+	hits, misses, evictions metrics.Counter // rdl_cache_*_total
 }
 
 type cacheEntry struct {
@@ -50,18 +46,33 @@ type cacheEntry struct {
 	size       int64
 }
 
-// newResultCache sizes the cache; entries<=0 disables it entirely.
-func newResultCache(entries int, maxBytes int64) *resultCache {
-	if entries <= 0 {
-		return nil
+// newResultCache sizes the cache and mounts its rdl_cache_* series on
+// reg; entries<=0 disables caching (a nil cache). Gauges close over the
+// cache so scrapes read live values, and a disabled cache still
+// registers every family at zero so dashboards do not break on
+// configuration differences.
+func newResultCache(entries int, maxBytes int64, reg *metrics.Registry) *resultCache {
+	hits := reg.Counter("rdl_cache_hits_total", "Result-cache hits.")
+	misses := reg.Counter("rdl_cache_misses_total", "Result-cache misses.")
+	evictions := reg.Counter("rdl_cache_evictions_total", "Result-cache LRU evictions.")
+	var c *resultCache
+	if entries > 0 {
+		c = &resultCache{
+			maxEntries: entries,
+			maxBytes:   maxBytes,
+			lru:        list.New(),
+			byKey:      make(map[string]*list.Element),
+			byBase:     make(map[string]*list.Element),
+			hits:       hits,
+			misses:     misses,
+			evictions:  evictions,
+		}
 	}
-	return &resultCache{
-		maxEntries: entries,
-		maxBytes:   maxBytes,
-		lru:        list.New(),
-		byKey:      make(map[string]*list.Element),
-		byBase:     make(map[string]*list.Element),
-	}
+	reg.GaugeFunc("rdl_cache_entries", "Result-cache entries resident.",
+		func() float64 { n, _ := c.stats(); return float64(n) })
+	reg.GaugeFunc("rdl_cache_bytes", "Result-cache retained bytes (encoded results).",
+		func() float64 { _, b := c.stats(); return float64(b) })
+	return c
 }
 
 // cacheKey computes the content address of one job: sha256 over the
@@ -71,9 +82,7 @@ func newResultCache(entries int, maxBytes int64) *resultCache {
 // not split the key space. OrderPortfolio is deliberately NOT normalized:
 // unlike Workers it changes which ordering policy commits the layout, so
 // a portfolio job and a solo job are different results and must not
-// share a cache slot. Callers must pass the RESOLVED options
-// (after server-config defaults are applied) for the same reason. Returns
-// "" (uncacheable) if either encoding fails.
+// share a cache slot. Returns "" (uncacheable) if either encoding fails.
 func cacheKey(d *design.Design, opts router.Options) string {
 	var buf bytes.Buffer
 	if err := codec.EncodeDesign(&buf, d); err != nil {
@@ -96,17 +105,11 @@ func (c *resultCache) get(key string) (*router.Result, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.misses++
-		if c.cMisses != nil {
-			c.cMisses.Inc()
-		}
+		c.misses.Inc()
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	c.hits++
-	if c.cHits != nil {
-		c.cHits.Inc()
-	}
+	c.hits.Inc()
 	return el.Value.(*cacheEntry).result, true
 }
 
@@ -171,37 +174,15 @@ func (c *resultCache) evictOldest() {
 		delete(c.byBase, e.designHash)
 	}
 	c.bytes -= e.size
-	c.evicted++
-	if c.cEvict != nil {
-		c.cEvict.Inc()
-	}
+	c.evictions.Inc()
 }
 
-// stats snapshots the cache counters for gauges and tests.
-func (c *resultCache) stats() (entries int, bytes, hits, misses, evicted int64) {
+// stats snapshots the cache's resident entries and bytes for the gauges.
+func (c *resultCache) stats() (entries int, bytes int64) {
 	if c == nil {
-		return 0, 0, 0, 0, 0
+		return 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len(), c.bytes, c.hits, c.misses, c.evicted
-}
-
-// registerCacheMetrics mounts the rdl_cache_* series on the registry.
-// Gauges close over the cache so scrapes read live values; a nil cache
-// (caching disabled) still registers every family at zero so dashboards
-// do not break on configuration differences.
-func registerCacheMetrics(reg *metrics.Registry, c *resultCache) {
-	reg.GaugeFunc("rdl_cache_entries", "Result-cache entries resident.",
-		func() float64 { n, _, _, _, _ := c.stats(); return float64(n) })
-	reg.GaugeFunc("rdl_cache_bytes", "Result-cache retained bytes (encoded results).",
-		func() float64 { _, b, _, _, _ := c.stats(); return float64(b) })
-	hits := reg.Counter("rdl_cache_hits_total", "Result-cache hits.")
-	misses := reg.Counter("rdl_cache_misses_total", "Result-cache misses.")
-	evict := reg.Counter("rdl_cache_evictions_total", "Result-cache LRU evictions.")
-	if c != nil {
-		c.mu.Lock()
-		c.cHits, c.cMisses, c.cEvict = &hits, &misses, &evict
-		c.mu.Unlock()
-	}
+	return c.lru.Len(), c.bytes
 }

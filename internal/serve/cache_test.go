@@ -44,7 +44,8 @@ func stubResult(d *design.Design) *router.Result {
 // a get refreshes recency, and the byBase index follows evictions.
 func TestCacheLRUEviction(t *testing.T) {
 	d := dense1(t)
-	c := newResultCache(2, 0)
+	reg := metrics.NewRegistry()
+	c := newResultCache(2, 0, reg)
 	opts := router.DefaultOptions()
 
 	designs := []*design.Design{d, variant(t, d, 1), variant(t, d, 2)}
@@ -81,12 +82,16 @@ func TestCacheLRUEviction(t *testing.T) {
 	if base, ok := c.base(hashes[2]); !ok || len(base.Nets) != len(designs[2].Nets) {
 		t.Errorf("byBase lookup of resident design failed (ok=%v)", ok)
 	}
-	entries, bytes_, hits, misses, evicted := c.stats()
+	entries, bytes_ := c.stats()
+	fams := scrape(t, reg)
+	evicted := counterValue(t, fams, "rdl_cache_evictions_total", nil)
 	if entries != 2 || bytes_ <= 0 || evicted != 1 {
-		t.Errorf("stats = entries %d bytes %d evicted %d, want 2/>0/1", entries, bytes_, evicted)
+		t.Errorf("stats = entries %d bytes %d evicted %v, want 2/>0/1", entries, bytes_, evicted)
 	}
+	hits := counterValue(t, fams, "rdl_cache_hits_total", nil)
+	misses := counterValue(t, fams, "rdl_cache_misses_total", nil)
 	if hits != 2 || misses != 1 {
-		t.Errorf("stats hits/misses = %d/%d, want 2/1", hits, misses)
+		t.Errorf("hits/misses = %v/%v, want 2/1", hits, misses)
 	}
 }
 
@@ -94,14 +99,16 @@ func TestCacheLRUEviction(t *testing.T) {
 // never zero — a single oversized result stays usable.
 func TestCacheByteBound(t *testing.T) {
 	d := dense1(t)
-	c := newResultCache(100, 1) // absurdly small byte budget
+	reg := metrics.NewRegistry()
+	c := newResultCache(100, 1, reg) // absurdly small byte budget
 	opts := router.DefaultOptions()
 	c.put(cacheKey(d, opts), d, stubResult(d))
 	v := variant(t, d, 1)
 	c.put(cacheKey(v, opts), v, stubResult(v))
-	entries, _, _, _, evicted := c.stats()
+	entries, _ := c.stats()
+	evicted := counterValue(t, scrape(t, reg), "rdl_cache_evictions_total", nil)
 	if entries != 1 || evicted != 1 {
-		t.Errorf("entries %d evicted %d, want 1/1 (byte bound keeps one entry)", entries, evicted)
+		t.Errorf("entries %d evicted %v, want 1/1 (byte bound keeps one entry)", entries, evicted)
 	}
 }
 
@@ -175,8 +182,8 @@ func TestCacheHitMintsJobAndFlight(t *testing.T) {
 	if j2.Result == nil || j2.Result.TotalNets != len(d.Nets) {
 		t.Errorf("cache-hit job has no result: %+v", j2.Result)
 	}
-	r1, ok1 := s.flight.get(j1.ID)
-	r2, ok2 := s.flight.get(j2.ID)
+	r1, ok1 := s.flightRecord(j1.ID)
+	r2, ok2 := s.flightRecord(j2.ID)
 	if !ok1 || !ok2 {
 		t.Fatalf("flight records missing (j1 %v, j2 %v)", ok1, ok2)
 	}
@@ -334,7 +341,7 @@ func TestCacheDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitJob(t, s, j)
-		if rec, ok := s.flight.get(j.ID); !ok || rec.Cache != "" {
+		if rec, ok := s.flightRecord(j.ID); !ok || rec.Cache != "" {
 			t.Errorf("disabled cache tagged flight record %q", rec.Cache)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 
 	"rdlroute/internal/codec"
@@ -14,8 +13,8 @@ import (
 
 // FlightRecord is the post-mortem record of one terminal job: what ran,
 // how it ended, and the obs snapshot of what the flow actually did —
-// enough to answer "why was job-417 slow" hours after its trace buffer
-// is gone. Records are value types; the ring holds the last N.
+// enough to answer "why was job-417 slow". Records are built on request
+// from the job table's retained terminal tail.
 type FlightRecord struct {
 	ID      string   `json:"id"`
 	State   JobState `json:"state"`
@@ -49,61 +48,28 @@ type FlightRecord struct {
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 
-// flightRecorder is a fixed-capacity ring of the most recent terminal
-// jobs. Always on and allocation-bounded: capacity is fixed at creation
-// and old records are overwritten in place.
-type flightRecorder struct {
-	mu    sync.Mutex
-	ring  []FlightRecord
-	next  int   // ring index the next record lands in
-	total int64 // records ever written
+// flightRecords returns the retained terminal jobs' records newest-first
+// plus the number of jobs that ever turned terminal.
+func (s *Server) flightRecords() ([]FlightRecord, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := make([]FlightRecord, 0, len(s.tail))
+	for i := len(s.tail) - 1; i >= 0; i-- {
+		recs = append(recs, s.flightRecordOf(s.tail[i]))
+	}
+	return recs, s.finished
 }
 
-func newFlightRecorder(capacity int) *flightRecorder {
-	return &flightRecorder{ring: make([]FlightRecord, 0, capacity)}
-}
-
-// record appends rec, overwriting the oldest entry once full.
-func (f *flightRecorder) record(rec FlightRecord) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.total++
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, rec)
-		f.next = len(f.ring) % cap(f.ring)
-		return
+// flightRecord returns the record of a retained terminal job; false for
+// unknown, evicted and still-live jobs.
+func (s *Server) flightRecord(id string) (FlightRecord, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok || j.Finished.IsZero() {
+		return FlightRecord{}, false
 	}
-	if cap(f.ring) == 0 {
-		return
-	}
-	f.ring[f.next] = rec
-	f.next = (f.next + 1) % cap(f.ring)
-}
-
-// list returns the retained records newest-first plus the total ever
-// recorded.
-func (f *flightRecorder) list() ([]FlightRecord, int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]FlightRecord, 0, len(f.ring))
-	for i := 0; i < len(f.ring); i++ {
-		// Walk backwards from the most recently written slot.
-		idx := (f.next - 1 - i + 2*len(f.ring)) % len(f.ring)
-		out = append(out, f.ring[idx])
-	}
-	return out, f.total
-}
-
-// get returns the retained record with the given job ID.
-func (f *flightRecorder) get(id string) (FlightRecord, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range f.ring {
-		if f.ring[i].ID == id {
-			return f.ring[i], true
-		}
-	}
-	return FlightRecord{}, false
+	return s.flightRecordOf(j), true
 }
 
 // optionsFingerprint hashes the job's canonical rdl-options/v1 bytes.

@@ -27,13 +27,16 @@ echo "== golden quality gate: dense1..5 =="
 go test -count=1 -run 'TestGoldenDense' ./internal/router/ -golden-full
 echo "== serving gate: codec + metrics + serve semantics (-race) =="
 # Queue saturation → 429, per-job deadlines, graceful drain, concurrent
-# determinism, codec round-trips, and the metrics registry's concurrent
-# increment/scrape contract — the serving subsystem's contract.
+# determinism, bounded job retention (evicted jobs answer 404 and free
+# their idempotency keys), the 413 request-body limit, codec round-trips,
+# and the metrics registry's concurrent increment/scrape contract — the
+# serving subsystem's contract.
 go test -race ./internal/codec/ ./internal/metrics/ ./internal/serve/
 echo "== rdlserver smoke: route dense1 over HTTP, DRC-check, scrape /metrics =="
 # The smoke self-test also scrapes /metrics, parses the exposition with
 # the in-repo parser (failing on malformed or empty output, or missing
-# families), and fetches the job's flight record.
+# families), fetches the job's flight record, and checks the flight list
+# (configured capacity, all four jobs newest-first) and an idle /healthz.
 go run ./cmd/rdlserver -smoke
 echo "== determinism matrix: workers 1/2/8 at GOMAXPROCS=2 (-race) =="
 # The parallel-stage contract: lattice fingerprint, metrics and encoded
