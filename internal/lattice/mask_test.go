@@ -1,7 +1,6 @@
 package lattice
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -66,36 +65,6 @@ func TestMaskRectAndLayerBounds(t *testing.T) {
 	}
 	if m.Allowed(-1, 0, 0) || m.Allowed(2, 0, 0) {
 		t.Error("out-of-range layers must read as disallowed")
-	}
-}
-
-// TestRegionMaskEquivalentToRegionFunc: for the same octagonal region,
-// the bitmap path and the closure fallback must find the identical route.
-func TestRegionMaskEquivalentToRegionFunc(t *testing.T) {
-	d := bare(1)
-	la1 := mustNew(t, d)
-	la2 := mustNew(t, d)
-	oct := geom.OctAroundSegment(geom.Seg(geom.Pt(48, 48), geom.Pt(480, 300)), 60)
-	mask := la1.NewRegionMask()
-	mask.AllowOct(0, oct)
-	base := Request{Net: 0, From: geom.Pt(48, 48), To: geom.Pt(480, 300)}
-	reqMask := base
-	reqMask.RegionMask = mask
-	reqFunc := base
-	reqFunc.Region = func(l int, p geom.Point) bool { return oct.Canonical().Contains(p) }
-	p1, c1, ok1 := la1.Route(reqMask)
-	p2, c2, ok2 := la2.Route(reqFunc)
-	if !ok1 || !ok2 {
-		t.Fatalf("route failed: mask=%v func=%v", ok1, ok2)
-	}
-	if math.Abs(c1-c2) > 1e-9 || len(p1) != len(p2) {
-		t.Fatalf("mask path (cost %v, %d steps) != func path (cost %v, %d steps)",
-			c1, len(p1), c2, len(p2))
-	}
-	for k := range p1 {
-		if p1[k] != p2[k] {
-			t.Fatalf("step %d differs: %v vs %v", k, p1[k], p2[k])
-		}
 	}
 }
 

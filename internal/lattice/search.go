@@ -46,13 +46,7 @@ type Request struct {
 	LayerMask []bool
 	// RegionMask, when non-nil, restricts wire nodes to the rasterized
 	// region (one bit test per probe). Terminal nodes are always allowed.
-	// It takes precedence over Region.
 	RegionMask *RegionMask
-	// Region, when non-nil and RegionMask is nil, restricts wire nodes to
-	// Region(layer, pt). Terminal nodes are always allowed. This is the
-	// fallback path for callers with regions that are impractical to
-	// rasterize; per-net hot paths should build a RegionMask instead.
-	Region func(layer int, p geom.Point) bool
 	// ViaCost is the cost of one layer change (default 3·pitch).
 	ViaCost float64
 	// MaxCost aborts the search when the best reachable cost exceeds it
@@ -266,13 +260,7 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 		return (i == fi && j == fj) || (i == ti && j == tj)
 	}
 	regionOK := func(l, i, j int) bool {
-		if req.RegionMask != nil {
-			return req.RegionMask.Allowed(l, i, j) || isTerminal(i, j)
-		}
-		if req.Region == nil || isTerminal(i, j) {
-			return true
-		}
-		return req.Region(l, la.NodePoint(i, j))
+		return req.RegionMask == nil || req.RegionMask.Allowed(l, i, j) || isTerminal(i, j)
 	}
 
 	// Search window: nodes outside it provably have f > MaxCost (each
