@@ -251,9 +251,6 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 	// Final safety net: any route still internally inconsistent reverts to
 	// its legal initial geometry before write-back.
 	m.resetInconsistentRoutes(vals, nil)
-	if DebugVerify {
-		m.debugCheck(vals)
-	}
 	m.writeBack(vals)
 	st.After = l.Wirelength()
 	return st
@@ -672,19 +669,8 @@ func (m *model) writeBack(vals []float64) {
 		mr := &m.routes[ri]
 		pts := mr.points()
 		out := make([]geom.Point, 0, len(pts))
-		for pi, p := range pts {
-			xv := p.x.eval(vals)
-			yv := p.y.eval(vals)
-			if DebugVerify && (math.IsNaN(xv) || math.IsNaN(yv) || math.IsInf(xv, 0) || math.IsInf(yv, 0)) {
-				println("lpopt: NaN point", pi, "route li", mr.li, "net", mr.net, "col0", mr.col0, "col1", mr.col1)
-				for _, t := range p.x.t {
-					println("   x var", t.v, "own", m.varOwn[t.v], "val*1000", int(vals[t.v]*1000))
-				}
-				for _, t := range p.y.t {
-					println("   y var", t.v, "own", m.varOwn[t.v], "val*1000", int(vals[t.v]*1000))
-				}
-			}
-			pt := geom.Pt(int64(math.Round(xv)), int64(math.Round(yv)))
+		for _, p := range pts {
+			pt := geom.Pt(int64(math.Round(p.x.eval(vals))), int64(math.Round(p.y.eval(vals))))
 			if n := len(out); n > 0 && out[n-1].Eq(pt) {
 				continue
 			}
@@ -742,36 +728,4 @@ func (m *model) resetInconsistentRoutes(vals []float64, dirty map[int]bool) int 
 		resets++
 	}
 	return resets
-}
-
-// DebugVerify, when set, makes Optimize print any model constraint that the
-// final variable assignment violates (diagnostic aid for development).
-var DebugVerify bool
-
-func (m *model) debugCheck(vals []float64) {
-	for ci, c := range m.cons {
-		lhs := 0.0
-		for _, t := range c.terms {
-			lhs += t.c * vals[t.v]
-		}
-		bad := false
-		switch c.op {
-		case opLE:
-			bad = lhs > c.rhs+1e-6
-		case opGE:
-			bad = lhs < c.rhs-1e-6
-		default:
-			bad = math.Abs(lhs-c.rhs) > 1e-6
-		}
-		if bad {
-			vars := make([]int, 0, len(c.terms))
-			for _, t := range c.terms {
-				vars = append(vars, t.v)
-			}
-			println("lpopt: constraint", ci, "violated: lhs", int(lhs), "op", int(c.op), "rhs", int(c.rhs), "nvars", len(vars))
-			for _, t := range c.terms {
-				println("   var", t.v, "owner", m.varOwn[t.v], "coef", int(t.c*1000), "val", int(vals[t.v]), "init", int(m.initVal[t.v]))
-			}
-		}
-	}
 }
