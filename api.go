@@ -235,20 +235,6 @@ func EncodeResultJSON(w io.Writer, res *Result) error { return codec.EncodeResul
 // was computed on (matched by name; every reference is range-checked).
 func DecodeResultJSON(r io.Reader, d *Design) (*Result, error) { return codec.DecodeResult(r, d) }
 
-// ParseDesign reads a design from the text netlist format.
-func ParseDesign(r io.Reader) (*Design, error) { return design.Parse(r) }
-
-// WriteDesign writes a design in the text netlist format.
-func WriteDesign(w io.Writer, d *Design) error { return design.Format(w, d) }
-
-// WriteLayout writes a routing result in the text layout format; pair it
-// with the design netlist to reload it later.
-func WriteLayout(w io.Writer, l *Layout) error { return layout.Format(w, l) }
-
-// ParseLayout reads a routing result written by WriteLayout against its
-// design.
-func ParseLayout(r io.Reader, d *Design) (*Layout, error) { return layout.Parse(r, d) }
-
 // CongestionMap is the per-global-cell track-utilization view of a layout.
 type CongestionMap = congest.Map
 

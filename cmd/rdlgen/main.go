@@ -1,10 +1,12 @@
-// Command rdlgen generates synthetic InFO routing benchmarks in the text
-// netlist format, including the five Table-I circuits (dense1..dense5).
+// Command rdlgen generates synthetic InFO routing benchmarks as
+// rdl-design/v1 JSON documents, including the five Table-I circuits
+// (dense1..dense5). Route the file with rdlroute -design and check the
+// result with rdlverify -design.
 //
 // Usage:
 //
-//	rdlgen -name dense3 > dense3.rdl
-//	rdlgen -chips 4 -iopads 120 -bumps 400 -layers 5 -seed 9 > custom.rdl
+//	rdlgen -name dense3 -o dense3.json
+//	rdlgen -chips 4 -iopads 120 -bumps 400 -layers 5 -seed 9 > custom.json
 package main
 
 import (
@@ -58,7 +60,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := rdlroute.WriteDesign(w, d); err != nil {
+	if err := rdlroute.EncodeDesignJSON(w, d); err != nil {
 		fmt.Fprintln(os.Stderr, "rdlgen:", err)
 		os.Exit(1)
 	}

@@ -5,15 +5,17 @@
 // Usage:
 //
 //	rdlroute -bench dense1                # generate + route a Table-I circuit
-//	rdlroute -in design.rdl -check        # route a netlist file and run DRC
+//	rdlroute -design d.json -check        # route an rdl-design/v1 file and run DRC
 //	rdlroute -bench dense2 -flow linext   # run the baseline instead
 //	rdlroute -bench dense1 -no-lp         # ablation: disable stage 5
 //	rdlroute -bench dense1 -trace t.jsonl -stats   # observability
 //	rdlroute -bench dense1 -metrics -              # Prometheus exposition on stdout
 //	rdlroute -bench dense1 -cpuprofile cpu.pprof   # stage-labelled profile
-//	rdlroute -bench dense1 -export-design d.json   # write rdl-design/v1 JSON
-//	rdlroute -design d.json -o result.json         # JSON in, rdl-result/v1 out
+//	rdlroute -design d.json -o result.json         # save an rdl-result/v1 document (either flow)
 //	rdlroute -bench dense1 -delta eco.json         # ECO: apply a delta, route the edited design
+//
+// Design files are rdl-design/v1 documents (write one with rdlgen);
+// check a saved result against its design with rdlverify.
 package main
 
 import (
@@ -35,9 +37,7 @@ func main() {
 // the process exit code, so no exit path skips them.
 func run() int {
 	var (
-		in        = flag.String("in", "", "input design file (text netlist)")
 		designIn  = flag.String("design", "", "input design file (rdl-design/v1 JSON)")
-		designOut = flag.String("export-design", "", "write the loaded design as rdl-design/v1 JSON to this file before routing")
 		bench     = flag.String("bench", "", "generate a named benchmark (dense1..dense5) instead of reading a file")
 		flow      = flag.String("flow", "ours", `routing flow: "ours" or "linext"`)
 		check     = flag.Bool("check", false, "run the design-rule checker on the result")
@@ -47,8 +47,7 @@ func run() int {
 		cells     = flag.Int("cells", 30, "global cells per axis")
 		svg       = flag.String("svg", "", "write the routed layout as SVG to this file")
 		layer     = flag.Int("svg-layer", -1, "restrict the SVG to one wire layer (-1 = all)")
-		out       = flag.String("out", "", "write the routing result (text layout format) to this file")
-		oJSON     = flag.String("o", "", `write the routing result (rdl-result/v1 JSON) to this file (flow "ours" only)`)
+		oJSON     = flag.String("o", "", "write the routing result (rdl-result/v1 JSON) to this file")
 		heat      = flag.Bool("congest", false, "print per-layer congestion heatmaps")
 		ripup     = flag.Int("ripup", 0, "rip-up-and-reroute rounds (extension beyond the paper; 0 = off)")
 		workers   = flag.Int("workers", 0, "worker-pool bound for the flow's parallel stages (0 = GOMAXPROCS, 1 = sequential); the routed result is identical at every value")
@@ -75,12 +74,6 @@ func run() int {
 	switch {
 	case *bench != "":
 		d, err = rdlroute.GenerateBenchmark(*bench)
-	case *in != "":
-		var f *os.File
-		if f, err = os.Open(*in); err == nil {
-			d, err = rdlroute.ParseDesign(f)
-			f.Close()
-		}
 	case *designIn != "":
 		var f *os.File
 		if f, err = os.Open(*designIn); err == nil {
@@ -88,7 +81,7 @@ func run() int {
 			f.Close()
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "rdlroute: need -in, -design or -bench")
+		fmt.Fprintln(os.Stderr, "rdlroute: need -design or -bench")
 		return 2
 	}
 	if err != nil {
@@ -102,19 +95,6 @@ func run() int {
 		}
 		fmt.Println(h)
 		return 0
-	}
-
-	if *designOut != "" {
-		f, err := os.Create(*designOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := rdlroute.EncodeDesignJSON(f, d); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		f.Close()
-		fmt.Printf("design json %s\n", *designOut)
 	}
 
 	if *cpuprof != "" {
@@ -157,9 +137,8 @@ func run() int {
 	}
 	tracer := rdlroute.MultiTracer(sinks...)
 
-	var lay *rdlroute.Layout
 	var snap *rdlroute.Snapshot
-	var routeRes *rdlroute.Result
+	var routeRes *rdlroute.Result // either flow's outcome, as -o saves it
 	switch *flow {
 	case "ours":
 		opts := rdlroute.DefaultOptions()
@@ -201,7 +180,6 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		lay = res.Layout
 		snap = res.Obs
 		routeRes = res
 		fmt.Printf("design      %s\n", d.Name)
@@ -226,7 +204,16 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		lay = res.Layout
+		routeRes = &rdlroute.Result{
+			Layout:           res.Layout,
+			Routability:      res.Routability,
+			Wirelength:       res.Wirelength,
+			RoutedNets:       res.RoutedNets,
+			TotalNets:        res.TotalNets,
+			ConcurrentRouted: res.ConcurrentRouted,
+			SequentialRouted: res.SequentialRouted,
+			Runtime:          res.Runtime,
+		}
 		fmt.Printf("design      %s\n", d.Name)
 		fmt.Printf("flow        Lin-ext (single-layer nets, fixed pad vias)\n")
 		fmt.Printf("routability %.1f%% (%d/%d nets)\n", res.Routability, res.RoutedNets, res.TotalNets)
@@ -237,6 +224,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rdlroute: unknown flow %q\n", *flow)
 		return 2
 	}
+
+	lay := routeRes.Layout
 
 	if snap == nil && coll != nil {
 		snap = coll.Snapshot()
@@ -280,23 +269,7 @@ func run() int {
 		}
 	}
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		if err := rdlroute.WriteLayout(f, lay); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		f.Close()
-		fmt.Printf("routes      %s\n", *out)
-	}
-
 	if *oJSON != "" {
-		if routeRes == nil {
-			return fail(fmt.Errorf(`-o needs flow "ours" (the baseline has no result document)`))
-		}
 		f, err := os.Create(*oJSON)
 		if err != nil {
 			return fail(err)

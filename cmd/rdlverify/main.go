@@ -4,9 +4,14 @@
 // angle rules and connectivity) on a saved result and reports the
 // Table-I metrics of the stored layout:
 //
-//	rdlroute -bench dense1 -out routes.rdl      # produce a result
-//	rdlgen   -name dense1 -o design.rdl
-//	rdlverify -design design.rdl -routes routes.rdl
+//	rdlgen   -name dense1 -o design.json                # an rdl-design/v1 document
+//	rdlroute -design design.json -o result.json         # an rdl-result/v1 document
+//	rdlverify -design design.json -routes result.json
+//
+// Both files are decoded by the wire codec, which validates them: a
+// result for another design, or one naming a net, layer or slab the
+// design does not have, is an input error (exit 2) that names the JSON
+// path of the offending value, never a DRC report.
 //
 // Random mode runs the qa harness instead: N seeded random designs are
 // generated and routed through both the concurrent flow and the Lin-ext
@@ -45,8 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rdlverify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		designPath = fs.String("design", "", "design netlist file")
-		routesPath = fs.String("routes", "", "routing result file (from rdlroute -out)")
+		designPath = fs.String("design", "", "design file (rdl-design/v1 JSON, from rdlgen)")
+		routesPath = fs.String("routes", "", "routing result file (rdl-result/v1 JSON, from rdlroute -o)")
 		maxPrint   = fs.Int("max-violations", 20, "maximum violations to print")
 		jsonOut    = fs.Bool("json", false, "emit a machine-readable JSON report")
 		randomN    = fs.Int("random", 0, "run the qa harness on N seeded random designs")
@@ -90,14 +95,10 @@ func runFile(designPath, routesPath string, maxPrint int, jsonOut bool, stdout, 
 		fmt.Fprintln(stderr, "rdlverify:", err)
 		return 2
 	}
-	d, err := rdlroute.ParseDesign(df)
+	d, err := rdlroute.DecodeDesignJSON(df)
 	df.Close()
 	if err != nil {
-		fmt.Fprintln(stderr, "rdlverify:", err)
-		return 2
-	}
-	if err := d.Validate(); err != nil {
-		fmt.Fprintln(stderr, "rdlverify: design invalid:", err)
+		fmt.Fprintf(stderr, "rdlverify: %s: %v\n", designPath, err)
 		return 2
 	}
 	rf, err := os.Open(routesPath)
@@ -105,12 +106,13 @@ func runFile(designPath, routesPath string, maxPrint int, jsonOut bool, stdout, 
 		fmt.Fprintln(stderr, "rdlverify:", err)
 		return 2
 	}
-	lay, err := rdlroute.ParseLayout(rf, d)
+	res, err := rdlroute.DecodeResultJSON(rf, d)
 	rf.Close()
 	if err != nil {
-		fmt.Fprintln(stderr, "rdlverify:", err)
+		fmt.Fprintf(stderr, "rdlverify: %s: %v\n", routesPath, err)
 		return 2
 	}
+	lay := res.Layout
 
 	vs := rdlroute.Check(lay)
 	rep := fileReport{

@@ -70,8 +70,9 @@ func ExampleBuildCongestion() {
 	// top-layer peak utilization below 1: true
 }
 
-// Save a routing result and reload it for verification.
-func ExampleWriteLayout() {
+// Save a routing result as an rdl-result/v1 document and reload it
+// against its design for verification.
+func ExampleEncodeResultJSON() {
 	d, err := rdlroute.GenerateBenchmark("dense1")
 	if err != nil {
 		panic(err)
@@ -81,15 +82,15 @@ func ExampleWriteLayout() {
 		panic(err)
 	}
 	var buf bytes.Buffer
-	if err := rdlroute.WriteLayout(&buf, res.Layout); err != nil {
+	if err := rdlroute.EncodeResultJSON(&buf, res); err != nil {
 		panic(err)
 	}
-	again, err := rdlroute.ParseLayout(&buf, d)
+	again, err := rdlroute.DecodeResultJSON(&buf, d)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("reloaded %d nets, still clean: %v\n",
-		again.RoutedCount(), len(rdlroute.Check(again)) == 0)
+		again.Layout.RoutedCount(), len(rdlroute.Check(again.Layout)) == 0)
 	// Output:
 	// reloaded 22 nets, still clean: true
 }

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,12 +26,20 @@ func genBench(t *testing.T, name string) *design.Design {
 }
 
 // TestDesignRoundTripGolden: encode → decode → encode must be byte-stable
-// on every published benchmark, and the decoded design must be
+// on every published benchmark and on a generated design with obstacles,
+// fixed vias and chip-to-board nets, and the decoded design must be
 // structurally identical to the original.
 func TestDesignRoundTripGolden(t *testing.T) {
-	for _, name := range []string{"dense1", "dense2", "dense3", "dense4", "dense5"} {
-		t.Run(name, func(t *testing.T) {
-			d := genBench(t, name)
+	ext := design.GenSpec{
+		Name: "ext", Chips: 3, IOPads: 48, BumpPads: 64, WireLayers: 4, Seed: 17,
+		BoardFrac: 0.25, Obstacles: 6, FixedVias: 8,
+	}
+	for _, spec := range append(design.DenseSuite(), ext) {
+		t.Run(spec.Name, func(t *testing.T) {
+			d, err := design.Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var first bytes.Buffer
 			if err := EncodeDesign(&first, d); err != nil {
 				t.Fatal(err)
@@ -55,6 +64,24 @@ func TestDesignRoundTripGolden(t *testing.T) {
 			for i := range d.Nets {
 				if got.Nets[i] != d.Nets[i] {
 					t.Fatalf("net %d differs: %+v vs %+v", i, got.Nets[i], d.Nets[i])
+				}
+			}
+			if !reflect.DeepEqual(got.Obstacles, d.Obstacles) {
+				t.Fatalf("obstacles differ: %+v vs %+v", got.Obstacles, d.Obstacles)
+			}
+			if !reflect.DeepEqual(got.FixedVias, d.FixedVias) {
+				t.Fatalf("fixed vias differ: %+v vs %+v", got.FixedVias, d.FixedVias)
+			}
+			if spec.Name == ext.Name {
+				board := 0
+				for _, n := range d.Nets {
+					if n.P2.Kind == design.BumpKind {
+						board++
+					}
+				}
+				if len(d.Obstacles) == 0 || len(d.FixedVias) == 0 || board == 0 {
+					t.Fatalf("%s has %d obstacles, %d fixed vias, %d board nets; want all present",
+						spec.Name, len(d.Obstacles), len(d.FixedVias), board)
 				}
 			}
 		})

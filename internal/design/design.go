@@ -1,8 +1,9 @@
 // Package design defines the InFO-package data model the router operates
 // on — chips, I/O pads, bump pads, pre-assigned nets, obstacles, design
-// rules and the RDL layer stack — together with a text netlist format and
-// a benchmark generator that reproduces the published statistics of the
-// paper's proprietary dense1..dense5 circuits.
+// rules and the RDL layer stack — together with validation and a
+// benchmark generator that reproduces the published statistics of the
+// paper's proprietary dense1..dense5 circuits. Designs are stored and
+// exchanged as rdl-design/v1 documents (package codec).
 package design
 
 import (

@@ -1,8 +1,7 @@
 package design
 
 import (
-	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 
 	"rdlroute/internal/geom"
@@ -76,60 +75,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	d := tiny()
-	d.Obstacles = append(d.Obstacles, Obstacle{Layer: 1, Box: geom.RectWH(400, 50, 60, 30)})
-	var buf bytes.Buffer
-	if err := Format(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != d.Name || got.Outline != d.Outline || got.WireLayers != d.WireLayers {
-		t.Errorf("header mismatch: %+v", got)
-	}
-	if len(got.Chips) != 2 || got.Chips[1].Name != "b" {
-		t.Errorf("chips mismatch: %+v", got.Chips)
-	}
-	if len(got.IOPads) != 4 || got.IOPads[3].Center != geom.Pt(620, 250) {
-		t.Errorf("iopads mismatch: %+v", got.IOPads)
-	}
-	if len(got.BumpPads) != 1 || got.BumpPads[0].W != 40 {
-		t.Errorf("bumppads mismatch: %+v", got.BumpPads)
-	}
-	if len(got.Nets) != 2 || got.Nets[1].P2 != (PadRef{IOKind, 3}) {
-		t.Errorf("nets mismatch: %+v", got.Nets)
-	}
-	if len(got.Obstacles) != 1 || got.Obstacles[0].Layer != 1 {
-		t.Errorf("obstacles mismatch: %+v", got.Obstacles)
-	}
-	if err := got.Validate(); err != nil {
-		t.Errorf("round-tripped design invalid: %v", err)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"frobnicate 1 2 3",
-		"outline 1 2 3",
-		"chip onlyname",
-		"iopad 0 0 x 5 8",
-		"net 0 io 1 widget 2",
-		"layers metal 3",
-	}
-	for _, line := range bad {
-		if _, err := Parse(strings.NewReader(line)); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", line)
-		}
-	}
-	// Comments and blank lines are fine.
-	if _, err := Parse(strings.NewReader("# comment\n\ndesign x\n")); err != nil {
-		t.Errorf("comment parse: %v", err)
-	}
-}
-
 func TestGenerateDenseSuiteMatchesTableI(t *testing.T) {
 	want := []Stats{
 		{Name: "dense1", Chips: 2, Q: 44, G: 324, N: 22, WireLayers: 3, ViaLayers: 4},
@@ -162,14 +107,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	var b1, b2 bytes.Buffer
-	if err := Format(&b1, d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := Format(&b2, d2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !reflect.DeepEqual(d1, d2) {
 		t.Error("generator not deterministic for identical specs")
 	}
 }

@@ -1,9 +1,6 @@
 package design
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func extSpec() GenSpec {
 	return GenSpec{
@@ -68,32 +65,6 @@ func TestBoardNetsUseDistinctBumps(t *testing.T) {
 			t.Errorf("bump %d reused", n.P2.Index)
 		}
 		seen[n.P2.Index] = true
-	}
-}
-
-func TestExtensionsRoundTrip(t *testing.T) {
-	d, err := Generate(extSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Format(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.FixedVias) != len(d.FixedVias) {
-		t.Fatalf("fixed vias round trip: %d != %d", len(got.FixedVias), len(d.FixedVias))
-	}
-	for i := range d.FixedVias {
-		if got.FixedVias[i] != d.FixedVias[i] {
-			t.Errorf("fixed via %d mismatch: %+v vs %+v", i, got.FixedVias[i], d.FixedVias[i])
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,16 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"rdlroute/internal/codec"
 	"rdlroute/internal/design"
 	"rdlroute/internal/drc"
 	"rdlroute/internal/layout"
 )
 
-// formatDesign renders d as its text netlist for byte-level comparison.
+// formatDesign renders d as its rdl-design/v1 document for byte-level
+// comparison.
 func formatDesign(t *testing.T, d *design.Design) string {
 	t.Helper()
 	var b strings.Builder
-	if err := design.Format(&b, d); err != nil {
+	if err := codec.EncodeDesign(&b, d); err != nil {
 		t.Fatalf("format %s: %v", d.Name, err)
 	}
 	return b.String()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 
+	"rdlroute/internal/codec"
 	"rdlroute/internal/design"
 	"rdlroute/internal/par"
 )
@@ -23,7 +24,7 @@ type Config struct {
 	LPChecks int
 
 	// Shrink minimizes each failing design to a smaller reproducer and
-	// attaches its netlist to the failure report.
+	// attaches it to the failure report as an rdl-design/v1 document.
 	Shrink bool
 
 	// Parallel bounds the worker pool checking designs (0 = GOMAXPROCS,
@@ -67,7 +68,7 @@ func Run(cfg Config) Report {
 		if len(fails) > 0 {
 			sf := SeedFailure{Seed: seed, Failures: fails}
 			if cfg.Shrink {
-				sf.MinimalNetlist, sf.MinimalNets, sf.MinimalFailure = shrinkFailure(d, seed, cfg.Suite)
+				sf.MinimalDesign, sf.MinimalNets, sf.MinimalFailure = shrinkFailure(d, seed, cfg.Suite)
 			}
 			out.failure = &sf
 		}
@@ -107,8 +108,8 @@ func Run(cfg Config) Report {
 }
 
 // shrinkFailure minimizes d against "still fails any oracle" and renders
-// the reproducer as a text netlist.
-func shrinkFailure(d *design.Design, seed int64, suite Suite) (netlist string, nets int, oracle string) {
+// the reproducer as an rdl-design/v1 document.
+func shrinkFailure(d *design.Design, seed int64, suite Suite) (doc string, nets int, oracle string) {
 	min := Shrink(d, func(c *design.Design) bool {
 		_, fails := CheckDesign(c, seed, suite)
 		if len(fails) > 0 {
@@ -118,7 +119,7 @@ func shrinkFailure(d *design.Design, seed int64, suite Suite) (netlist string, n
 		return false
 	})
 	var b strings.Builder
-	if err := design.Format(&b, min); err != nil {
+	if err := codec.EncodeDesign(&b, min); err != nil {
 		return "", len(min.Nets), oracle
 	}
 	return b.String(), len(min.Nets), oracle

@@ -35,9 +35,9 @@ type SeedFailure struct {
 	Seed     int64
 	Failures []Failure
 
-	// MinimalNetlist is the text netlist of the shrunken failing design,
-	// present when the harness ran with shrinking enabled.
-	MinimalNetlist string
+	// MinimalDesign is the shrunken failing design as an rdl-design/v1
+	// document, present when the harness ran with shrinking enabled.
+	MinimalDesign string
 	// MinimalNets and MinimalFailure describe the shrunken reproducer.
 	MinimalNets    int
 	MinimalFailure string
@@ -52,9 +52,10 @@ func (sf SeedFailure) String() string {
 	}
 	fmt.Fprintf(&b, "  replay: rdlverify -random 1 -seed %d\n", sf.Seed)
 	fmt.Fprintf(&b, "  replay: go test ./internal/qa -run TestReplaySeed -replay-seed %d\n", sf.Seed)
-	if sf.MinimalNetlist != "" {
-		fmt.Fprintf(&b, "  minimal reproducer (%d nets, fails %q):\n", sf.MinimalNets, sf.MinimalFailure)
-		for _, line := range strings.Split(strings.TrimRight(sf.MinimalNetlist, "\n"), "\n") {
+	if sf.MinimalDesign != "" {
+		fmt.Fprintf(&b, "  minimal reproducer (%d nets, fails %q; save as repro.json, replay: rdlroute -design repro.json -check):\n",
+			sf.MinimalNets, sf.MinimalFailure)
+		for _, line := range strings.Split(strings.TrimRight(sf.MinimalDesign, "\n"), "\n") {
 			fmt.Fprintf(&b, "    %s\n", line)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"rdlroute/internal/design"
 )
 
 // replaySeed replays one design seed through the full oracle suite:
@@ -87,13 +89,15 @@ func TestRegressionCornerCutSeed1236(t *testing.T) {
 
 // TestFailureReportPrintsSeed holds the harness to its replay contract:
 // every failure names the seed and prints both replay invocations, and
-// the report embeds the minimal reproducer when shrinking ran.
+// the report embeds the minimal reproducer, an rdl-design/v1 document
+// rdlroute can replay, when shrinking ran.
 func TestFailureReportPrintsSeed(t *testing.T) {
+	min := Shrink(Generate(4242), func(c *design.Design) bool { return len(c.Nets) > 0 })
 	sf := SeedFailure{
 		Seed:           4242,
 		Failures:       []Failure{{Oracle: "flow-drc", Detail: "2 violations"}},
-		MinimalNetlist: "design qa-min\nnet 0 io 0 io 1\n",
-		MinimalNets:    1,
+		MinimalDesign:  formatDesign(t, min),
+		MinimalNets:    len(min.Nets),
 		MinimalFailure: "flow-drc",
 	}
 	out := sf.String()
@@ -103,7 +107,9 @@ func TestFailureReportPrintsSeed(t *testing.T) {
 		"rdlverify -random 1 -seed 4242",
 		"go test ./internal/qa -run TestReplaySeed -replay-seed 4242",
 		"minimal reproducer (1 nets",
-		"net 0 io 0 io 1",
+		"rdlroute -design repro.json -check",
+		`"schema": "rdl-design/v1"`,
+		`"name": "` + min.Name + `"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("failure report missing %q:\n%s", want, out)
