@@ -38,6 +38,22 @@ echo "== rdlserver smoke: route dense1 over HTTP, DRC-check, scrape /metrics =="
 # families), fetches the job's flight record, and checks the flight list
 # (configured capacity, all four jobs newest-first) and an idle /healthz.
 go run ./cmd/rdlserver -smoke
+echo "== file pipeline: rdlgen -> rdlroute (both flows) -> rdlverify =="
+# Every file the CLIs exchange is an rdl-*/v1 document: rdlgen writes the
+# design, rdlroute -o saves each flow's result, and rdlverify decodes both
+# through the validating codec and re-runs the design-rule checker. Each
+# command must exit 0.
+pipe=$(mktemp -d)
+trap 'rm -rf "$pipe"' EXIT
+go build -o "$pipe/" ./cmd/rdlgen ./cmd/rdlroute ./cmd/rdlverify
+(
+  cd "$pipe"
+  ./rdlgen -name dense1 -o d.json
+  ./rdlroute -design d.json -o ours.json -check
+  ./rdlroute -design d.json -flow linext -o linext.json -check
+  ./rdlverify -design d.json -routes ours.json
+  ./rdlverify -design d.json -routes linext.json
+)
 echo "== determinism matrix: workers 1/2/8 at GOMAXPROCS=2 (-race) =="
 # The parallel-stage contract: lattice fingerprint, metrics and encoded
 # rdl-result/v1 bytes identical at every worker count. GOMAXPROCS=2
