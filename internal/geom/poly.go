@@ -23,6 +23,13 @@ func PolyFromRect(r Rect) ConvexPoly {
 // half-diagonal halfW, which matches manufactured X-architecture wire
 // outlines with flat caps.
 func PolyFromSegment(s Segment, halfW float64) ConvexPoly {
+	return AppendPolyFromSegment(nil, s, halfW)
+}
+
+// AppendPolyFromSegment appends the PolyFromSegment outline of s to dst
+// and returns the extended polygon. Passing a zero-length slice of a local
+// array builds the outline without allocating.
+func AppendPolyFromSegment(dst ConvexPoly, s Segment, halfW float64) ConvexPoly {
 	a, b := s.A.F(), s.B.F()
 	o := s.Orient()
 	switch o {
@@ -30,18 +37,16 @@ func PolyFromSegment(s Segment, halfW float64) ConvexPoly {
 		if a.X > b.X {
 			a, b = b, a
 		}
-		return ConvexPoly{
-			{a.X, a.Y - halfW}, {b.X, b.Y - halfW},
-			{b.X, b.Y + halfW}, {a.X, a.Y + halfW},
-		}
+		return append(dst,
+			PointF{a.X, a.Y - halfW}, PointF{b.X, b.Y - halfW},
+			PointF{b.X, b.Y + halfW}, PointF{a.X, a.Y + halfW})
 	case OrientV:
 		if a.Y > b.Y {
 			a, b = b, a
 		}
-		return ConvexPoly{
-			{a.X + halfW, a.Y}, {b.X + halfW, b.Y},
-			{b.X - halfW, b.Y}, {a.X - halfW, a.Y},
-		}
+		return append(dst,
+			PointF{a.X + halfW, a.Y}, PointF{b.X + halfW, b.Y},
+			PointF{b.X - halfW, b.Y}, PointF{a.X - halfW, a.Y})
 	case OrientD45, OrientD135:
 		// Perpendicular offset of halfW for a diagonal: (±h/√2, ∓h/√2).
 		h := halfW / Sqrt2
@@ -51,28 +56,31 @@ func PolyFromSegment(s Segment, halfW float64) ConvexPoly {
 		} else {
 			n = PointF{h, h}
 		}
-		return ensureCCW(ConvexPoly{
-			a.Sub(n), b.Sub(n), b.Add(n), a.Add(n),
-		})
+		k := len(dst)
+		dst = append(dst, a.Sub(n), b.Sub(n), b.Add(n), a.Add(n))
+		ensureCCW(dst[k:])
+		return dst
 	default:
 		if s.Degenerate() {
 			// A point expanded to a square.
-			return ConvexPoly{
-				{a.X - halfW, a.Y - halfW}, {a.X + halfW, a.Y - halfW},
-				{a.X + halfW, a.Y + halfW}, {a.X - halfW, a.Y + halfW},
-			}
+			return append(dst,
+				PointF{a.X - halfW, a.Y - halfW}, PointF{a.X + halfW, a.Y - halfW},
+				PointF{a.X + halfW, a.Y + halfW}, PointF{a.X - halfW, a.Y + halfW})
 		}
 		// Non-octilinear fallback: rectangle around the segment direction.
 		d := b.Sub(a)
 		l := math.Hypot(d.X, d.Y)
 		n := PointF{-d.Y / l * halfW, d.X / l * halfW}
-		return ensureCCW(ConvexPoly{a.Sub(n), b.Sub(n), b.Add(n), a.Add(n)})
+		k := len(dst)
+		dst = append(dst, a.Sub(n), b.Sub(n), b.Add(n), a.Add(n))
+		ensureCCW(dst[k:])
+		return dst
 	}
 }
 
-// ensureCCW reverses the vertex order when the polygon's signed area is
-// negative (clockwise winding).
-func ensureCCW(p ConvexPoly) ConvexPoly {
+// ensureCCW reverses the vertex order in place when the polygon's signed
+// area is negative (clockwise winding).
+func ensureCCW(p ConvexPoly) {
 	sum := 0.0
 	for i := range p {
 		j := (i + 1) % len(p)
@@ -83,7 +91,6 @@ func ensureCCW(p ConvexPoly) ConvexPoly {
 			p[i], p[j] = p[j], p[i]
 		}
 	}
-	return p
 }
 
 // BBoxF returns the float bounding box of the polygon as (x0,y0,x1,y1).

@@ -2,10 +2,11 @@ package lattice
 
 // CloneScratch returns an independent copy of the lattice's occupancy
 // state for scratch routing: the wire, via and edge slabs are deep-copied,
-// while the tracer and the cached search buffers are dropped. Routing on
-// the clone is therefore byte-identical to routing on the original
-// (occupancy is the only state a search reads) but emits no trace and can
-// never leak state back: commits on the clone touch only its own slabs.
+// while the tracer, the edge-claim counters and the cached search buffers
+// are dropped. Routing on the clone is therefore byte-identical to routing
+// on the original (occupancy is the only state a search reads) but emits
+// no trace and can never leak state back: commits on the clone touch only
+// its own slabs.
 //
 // The ordering-portfolio racer is the consumer: each candidate policy
 // routes the stage-4 queue on its own clone taken from the post-stage-3

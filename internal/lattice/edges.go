@@ -1,6 +1,8 @@
 package lattice
 
 import (
+	"math"
+
 	"rdlroute/internal/geom"
 )
 
@@ -59,9 +61,98 @@ func (la *Lattice) ensureEdgeOcc() {
 	}
 }
 
+// claimEps is the margin the projection bounds in markEdgesPoly keep from
+// the two thresholds they decide without the reference test: overlap
+// (reference distance 0) and the spacing s. Gaps are measured on unit
+// axes in layout units, where float error stays orders of magnitude below
+// it (DESIGN.md §5, "Lattice edge claims").
+const claimEps = 1e-6
+
+// The two axis pairs of lattice edge polygons: E and N edges are
+// axis-aligned rectangles, NE and NW edges diagonal ones.
+var (
+	orthoAxes = [2]geom.PointF{{X: 1}, {Y: 1}}
+	diagAxes  = [2]geom.PointF{{X: 1 / geom.Sqrt2, Y: 1 / geom.Sqrt2}, {X: 1 / geom.Sqrt2, Y: -1 / geom.Sqrt2}}
+)
+
+// axisSpan is an item polygon's projection [lo, hi] onto the unit axis
+// (ux, uy).
+type axisSpan struct{ ux, uy, lo, hi float64 }
+
+// appendAxes appends the separating axes for edges whose own axes are
+// own: those two, then the unit normals of poly's edges. Zero-length
+// edges and normals parallel to an axis already listed are skipped (u
+// and −u bound the same gap). Each span carries poly's projection.
+func appendAxes(dst []axisSpan, poly geom.ConvexPoly, own [2]geom.PointF) []axisSpan {
+	dst = appendAxis(dst, poly, own[0].X, own[0].Y)
+	dst = appendAxis(dst, poly, own[1].X, own[1].Y)
+	for i := range poly {
+		a, b := poly[i], poly[(i+1)%len(poly)]
+		nx, ny := b.Y-a.Y, a.X-b.X
+		if l := math.Hypot(nx, ny); l > 0 {
+			dst = appendAxis(dst, poly, nx/l, ny/l)
+		}
+	}
+	return dst
+}
+
+func appendAxis(dst []axisSpan, poly geom.ConvexPoly, ux, uy float64) []axisSpan {
+	for _, a := range dst {
+		if math.Abs(a.ux*uy-a.uy*ux) < 1e-9 {
+			return dst
+		}
+	}
+	lo, hi := projectPoly(poly, ux, uy)
+	return append(dst, axisSpan{ux, uy, lo, hi})
+}
+
+// projectPoly returns the extent of p's projection onto (ux, uy). It
+// compares directly where geom's projection calls math.Min and math.Max,
+// since it runs for every candidate edge.
+func projectPoly(p geom.ConvexPoly, ux, uy float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range p {
+		d := v.X*ux + v.Y*uy
+		if d < lo {
+			lo = d
+		}
+		if d > hi {
+			hi = d
+		}
+	}
+	return lo, hi
+}
+
+// maxGap returns the largest gap between wp's projection and the item's
+// span over axes, stopping once it reaches stop. A gap on any unit axis is
+// a lower bound on the distance between the two polygons; a negative gap
+// on every axis of the separating-axis set means they overlap.
+func maxGap(axes []axisSpan, wp geom.ConvexPoly, stop float64) float64 {
+	g := math.Inf(-1)
+	for _, a := range axes {
+		lo, hi := projectPoly(wp, a.ux, a.uy)
+		if d := lo - a.hi; d > g {
+			g = d
+		}
+		if d := a.lo - hi; d > g {
+			g = d
+		}
+		if g >= stop {
+			break
+		}
+	}
+	return g
+}
+
 // markEdgesPoly claims every cell edge whose wire polygon would violate
 // spacing against the item polygon (DRC's own predicate: strict <). bbox
 // is the item's bounding box, used to window the scan.
+//
+// The reference predicate is poly.Dist(wp) < s. Projection bounds decide
+// most edges exactly without it: an overlap beyond claimEps on every
+// separating axis means distance 0 (claim), and a gap of s+claimEps on
+// any unit axis means distance at least that (free). Only the band in
+// between runs the reference.
 func (la *Lattice) markEdgesPoly(layer int, poly geom.ConvexPoly, bbox geom.Rect, owner int32) {
 	if len(poly) == 0 {
 		return
@@ -81,6 +172,12 @@ func (la *Lattice) markEdgesPoly(layer int, poly geom.ConvexPoly, bbox geom.Rect
 	// edge's own bbox, so a bbox gap of s+halfW or more cannot violate.
 	px0, py0, px1, py1 := poly.BBoxF()
 	reject := s + halfW
+	// Octilinear items (every pad, obstacle, via and wire) add no axis
+	// beyond x, y and the two diagonals, so four spans fit either list.
+	var orthoBuf, diagBuf [4]axisSpan
+	ortho := appendAxes(orthoBuf[:0], poly, orthoAxes)
+	diag := appendAxes(diagBuf[:0], poly, diagAxes)
+	var wbuf [4]geom.PointF
 	n := la.NX * la.NY
 	for j := j0; j <= j1; j++ {
 		for i := i0; i <= i1; i++ {
@@ -112,10 +209,23 @@ func (la *Lattice) markEdgesPoly(layer int, poly geom.ConvexPoly, bbox geom.Rect
 					py0-ey1 >= reject || ey0-py1 >= reject {
 					continue
 				}
-				wp := geom.PolyFromSegment(la.edgeSeg(kind, i, j), halfW)
-				if poly.Dist(wp) >= s {
-					continue
+				la.edgeTests++
+				wp := geom.AppendPolyFromSegment(wbuf[:0], la.edgeSeg(kind, i, j), halfW)
+				axes := ortho
+				if kind >= edgeNE {
+					axes = diag
 				}
+				switch g := maxGap(axes, wp, s+claimEps); {
+				case g < -claimEps: // overlap: the reference distance is 0
+				case g >= s+claimEps: // clear of the item by more than s
+					continue
+				default: // within claimEps of a threshold
+					la.edgeRefTests++
+					if poly.Dist(wp) >= s {
+						continue
+					}
+				}
+				la.edgeClaims++
 				la.ensureEdgeOcc()
 				k := layer*n + la.idx(i, j)
 				switch cur := la.edgeOcc[kind][k]; {

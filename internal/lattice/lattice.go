@@ -62,6 +62,11 @@ type Lattice struct {
 	// tr, when non-nil, receives per-search effort metrics
 	// (astar.expanded / astar.visited observations and search counters).
 	tr obs.Tracer
+
+	// Edge-claim effort since the last FlushTrace: candidate edges past
+	// markEdgesPoly's bounding-box reject, the ones left to the reference
+	// distance test, and claims.
+	edgeTests, edgeRefTests, edgeClaims int64
 }
 
 // SetTracer attaches an observability tracer to the lattice. Disabled
@@ -72,6 +77,19 @@ func (la *Lattice) SetTracer(t obs.Tracer) {
 	} else {
 		la.tr = nil
 	}
+}
+
+// FlushTrace emits the edge-claim counters accumulated since the last
+// flush — lattice.edge_tests, lattice.edge_ref_tests and
+// lattice.edge_claims — to the attached tracer, then resets them. The
+// router calls it once per route, at the end of stage 4.
+func (la *Lattice) FlushTrace() {
+	if la.tr != nil {
+		la.tr.Count("lattice.edge_tests", la.edgeTests)
+		la.tr.Count("lattice.edge_ref_tests", la.edgeRefTests)
+		la.tr.Count("lattice.edge_claims", la.edgeClaims)
+	}
+	la.edgeTests, la.edgeRefTests, la.edgeClaims = 0, 0, 0
 }
 
 // New builds a lattice over the design outline and pre-blocks design
@@ -317,17 +335,6 @@ func (la *Lattice) blockRect(layer int, box geom.Rect, owner int32) {
 			la.markDisk(la.viaOcc, s, box, la.rShapeV, dist, owner)
 		}
 	}
-}
-
-// BlockRect exposes design-shape blocking for callers that add shapes
-// after construction (e.g. via stacks recorded as obstacles).
-func (la *Lattice) BlockRect(layer int, box geom.Rect, net int) {
-	owner := hard
-	if net >= 0 {
-		owner = int32(net) + 1
-	}
-	la.blockRect(layer, box, owner)
-	la.markEdgesPoly(layer, geom.PolyFromRect(box), box, owner)
 }
 
 // commitWire blocks space around a committed wire segment of the net.

@@ -110,12 +110,16 @@ func TestObsNilTracerLeavesResultBare(t *testing.T) {
 	}
 }
 
-// TestObsCorridorCounters checks the corridor-graph effort counters: one
-// corridor search per stage-4 net, its expansions observed, and the tile
-// adjacency tests and reach-mask rebuilds that kept the graph current
-// reported beside them. Attaching the tracer must leave the routed
-// result (fingerprint, wires, vias, routed set) identical to an untraced
-// run.
+// TestObsCorridorCounters checks the effort counters emitted at the end of
+// stage 4. Corridor graph: one corridor search per stage-4 net, its
+// expansions observed, and the tile adjacency tests and reach-mask
+// rebuilds that kept the graph current reported beside them. Lattice:
+// candidate edges, reference distance tests and edge claims, with the
+// reference tests and claims bounded by the candidates; a portfolio run
+// reports the counts of a solo run of its winner, since the scratch
+// clones the race routes on report nothing. Attaching the tracer must
+// leave the routed result (fingerprint, wires, vias, routed set)
+// identical to an untraced run.
 func TestObsCorridorCounters(t *testing.T) {
 	d := smallDesign()
 	c := obs.NewCollector()
@@ -151,9 +155,35 @@ func TestObsCorridorCounters(t *testing.T) {
 	if e := snap.Dists["corridor.expanded"]; e.Count != stage4 || e.Sum <= 0 {
 		t.Errorf("corridor.expanded: %d observations summing %v, want %d with positive effort", e.Count, e.Sum, stage4)
 	}
-	for _, name := range []string{"ctile.reach_rebuilds", "ctile.adjacency_tests"} {
+	edgeCounters := []string{"lattice.edge_tests", "lattice.edge_ref_tests", "lattice.edge_claims"}
+	for _, name := range append([]string{"ctile.reach_rebuilds", "ctile.adjacency_tests"}, edgeCounters...) {
 		if _, ok := snap.Counters[name]; !ok || c.Counter(name) <= 0 {
 			t.Errorf("counter %s = %d, want it present and positive", name, c.Counter(name))
+		}
+	}
+	tests, ref, claims := c.Counter(edgeCounters[0]), c.Counter(edgeCounters[1]), c.Counter(edgeCounters[2])
+	if ref > tests || claims > tests {
+		t.Errorf("lattice.edge_ref_tests %d and lattice.edge_claims %d, want both at most lattice.edge_tests %d",
+			ref, claims, tests)
+	}
+
+	pc := obs.NewCollector()
+	popts := DefaultOptions()
+	popts.OrderPortfolio = 3
+	popts.Tracer = pc
+	pres, err := Route(d, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := obs.NewCollector()
+	sopts := WithOrderPolicy(DefaultOptions(), pres.Portfolio.Winner)
+	sopts.Tracer = sc
+	if _, err := Route(d, sopts); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range edgeCounters {
+		if p, s := pc.Counter(name), sc.Counter(name); p != s {
+			t.Errorf("%s: portfolio run %d, solo run of the winner %d", name, p, s)
 		}
 	}
 }

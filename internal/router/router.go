@@ -185,20 +185,22 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	}
 
 	tr := obs.Or(opts.Tracer)
-	la, err := lattice.New(d, opts.Pitch)
-	if err != nil {
-		return nil, nil, err
-	}
-	la.SetTracer(tr)
 	lay := layout.New(d)
 	res := &Result{Layout: lay, TotalNets: len(d.Nets)}
 
-	if err := ctxErr(ctx); err != nil {
+	// Stage 1: Preprocessing: the routing lattice with the design's pads,
+	// obstacles and fixed vias claimed, then the fan-out analysis.
+	end := obs.Stage(tr, "preprocess", obs.String("design", d.Name))
+	la, err := lattice.New(d, opts.Pitch)
+	if err != nil {
+		end()
 		return nil, nil, err
 	}
-
-	// Stage 1: Preprocessing.
-	end := obs.Stage(tr, "preprocess", obs.String("design", d.Name))
+	la.SetTracer(tr)
+	if err := ctxErr(ctx); err != nil {
+		end()
+		return nil, nil, err
+	}
 	analysis, err := fanout.Analyze(d, fanout.Config{
 		PeripheralDist: opts.PeripheralDist,
 		TrackPitch:     opts.Pitch,
@@ -264,6 +266,7 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 		seqErr = sequentialRoute(ctx, d, model, sites, la, lay, opts, res, tr)
 	}
 	model.FlushTrace()
+	la.FlushTrace()
 	end(obs.Int("routed", res.SequentialRouted),
 		obs.Int("corridor", res.CorridorRouted),
 		obs.Int("fallback", res.FallbackRouted))
