@@ -13,12 +13,18 @@ echo "== go vet ./... =="
 go vet ./...
 echo "== regression gate (lattice/router/geom) =="
 # Fast fail on the targeted regression tests before the full sweep: the
-# rip-up lattice threading, the int32 state-space bound, the Oct8.Center
-# containment property, the T-junction connectivity union and the
-# cancellation fingerprint gate.
+# rip-up lattice threading, the int32 state-space bound, edge claims
+# against the reference distance test, the Oct8.Center containment
+# property, the T-junction connectivity union and the cancellation
+# fingerprint gate.
 go test -race -run \
-  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption' \
+  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption' \
   ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/
+echo "== lattice microbenchmarks: one iteration each =="
+# Keeps BenchmarkNew (pad claims) and BenchmarkCommit (wire and via
+# claims) compiling and running; time them with -benchmem and the
+# default -benchtime when comparing two checkouts.
+go test -run '^$' -bench . -benchtime 1x ./internal/lattice
 echo "== golden quality gate: dense1..5 =="
 # Routed nets, wirelength, lattice fingerprint, tile count, stage split
 # and total A* effort of every Table-I circuit against
