@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"context"
+	"math"
 
 	"rdlroute/internal/geom"
 )
@@ -119,8 +120,10 @@ func (la *Lattice) SearchWindow(from, to geom.Point, maxCost float64) (i0, j0, i
 }
 
 // recordSearch publishes one search's effort to the caller and the
-// attached tracer.
-func (la *Lattice) recordSearch(req *Request, expanded, visited int, ok bool) {
+// attached tracer: A* states expanded and visited, and the nodes the
+// goal-side flood took off its stack; refuted marks a search the flood
+// ended.
+func (la *Lattice) recordSearch(req *Request, expanded, visited, flooded int, ok, refuted bool) {
 	if req.Stats != nil {
 		req.Stats.NodesExpanded = expanded
 		req.Stats.NodesVisited = visited
@@ -130,6 +133,10 @@ func (la *Lattice) recordSearch(req *Request, expanded, visited int, ok bool) {
 		if !ok {
 			la.tr.Count("astar.failures", 1)
 		}
+		if refuted {
+			la.tr.Count("astar.refuted", 1)
+		}
+		la.tr.Count("astar.flood_nodes", int64(flooded))
 		la.tr.Observe("astar.expanded", float64(expanded))
 		la.tr.Observe("astar.visited", float64(visited))
 	}
@@ -143,6 +150,11 @@ type searchState struct {
 	done  []uint32
 	cur   uint32
 	heap  pqueue
+	// mark holds one stamp per lattice node for the goal-side flood:
+	// cur<<1 once A* has expanded the node, cur<<1|1 once the flood has
+	// reached it. stack is the flood's to-do list of node indices.
+	mark  []uint32
+	stack []int32
 }
 
 // pqEntry keeps priority and state id adjacent so each heap sift touches
@@ -199,7 +211,13 @@ func (h *pqueue) empty() bool { return len(h.e) == 0 }
 
 // stateID packs (layer, j, i, dir) into an int32.
 func (la *Lattice) stateID(l, i, j, dir int) int32 {
-	return int32(((l*la.NY+j)*la.NX+i)*9 + dir)
+	return int32(la.nodeID(l, i, j)*9 + dir)
+}
+
+// nodeID packs (layer, j, i): the index of a node in the occupancy slabs
+// and in searchState.mark.
+func (la *Lattice) nodeID(l, i, j int) int {
+	return (l*la.NY+j)*la.NX + i
 }
 
 func (la *Lattice) unpack(s int32) (l, i, j, dir int) {
@@ -213,18 +231,77 @@ func (la *Lattice) unpack(s int32) (l, i, j, dir int) {
 }
 
 func (la *Lattice) ensureSearch() *searchState {
-	n := la.Layers * la.NX * la.NY * 9
-	if la.search == nil || len(la.search.dist) < n {
+	nodes := la.Layers * la.NX * la.NY
+	n := nodes * 9
+	// Fresh buffers also before cur<<1 would wrap onto stamps that
+	// earlier searches left in mark.
+	if la.search == nil || len(la.search.dist) < n || la.search.cur == math.MaxUint32>>1 {
 		la.search = &searchState{
 			dist:  make([]float64, n),
 			prev:  make([]int32, n),
 			epoch: make([]uint32, n),
 			done:  make([]uint32, n),
+			mark:  make([]uint32, nodes),
 		}
 	}
 	la.search.cur++
 	la.search.heap.reset()
+	la.search.stack = la.search.stack[:0]
 	return la.search
+}
+
+// moveRules holds what one search's moves must respect besides the turn
+// rule and the cost cap: the search window, the layer and region masks,
+// and the net's right to the wire, edge and via space it enters. A* and
+// the goal-side flood test their moves with the same methods.
+type moveRules struct {
+	la  *Lattice
+	req *Request
+	// own is the net's owner code; ignore admits every claim but hard
+	// ones (Request.IgnoreForeign).
+	own    int32
+	ignore bool
+	// Terminal nodes: exempt from the region mask on every layer.
+	fi, fj, ti, tj int
+	// Search window: nodes outside it provably have f > MaxCost (each
+	// axis offset is a lower bound on both the cost so far and the
+	// remaining heuristic), so clipping expansion to it cannot change the
+	// search outcome — it only stops the frontier from flooding the whole
+	// lattice on hard or unroutable nets.
+	wi0, wj0, wi1, wj1 int
+}
+
+func (r *moveRules) layerOK(l int) bool {
+	return r.req.LayerMask == nil || (l < len(r.req.LayerMask) && r.req.LayerMask[l])
+}
+
+func (r *moveRules) inWindow(i, j int) bool {
+	return i >= r.wi0 && j >= r.wj0 && i <= r.wi1 && j <= r.wj1
+}
+
+func (r *moveRules) regionOK(l, i, j int) bool {
+	return r.req.RegionMask == nil || r.req.RegionMask.Allowed(l, i, j) ||
+		(i == r.fi && j == r.fj) || (i == r.ti && j == r.tj)
+}
+
+// admits reports whether the net may use space claimed by owner o: free
+// or its own (passableFor), or for an IgnoreForeign search, anything but
+// hard.
+func (r *moveRules) admits(o int32) bool {
+	return o == free || o == r.own || (r.ignore && o != hard)
+}
+
+// wireOK reports whether the wire space of node (l, i, j) admits the net.
+func (r *moveRules) wireOK(l, i, j int) bool {
+	return r.admits(r.la.wireOcc[r.la.nodeID(l, i, j)])
+}
+
+// viaOK reports whether a via on slab s at node (i, j) admits the net:
+// its via space and the wire space on both layers it joins (ViaFree).
+func (r *moveRules) viaOK(s, i, j int) bool {
+	la := r.la
+	k := la.nodeID(s, i, j)
+	return r.admits(la.viaOcc[k]) && r.admits(la.wireOcc[k]) && r.admits(la.wireOcc[k+la.NX*la.NY])
 }
 
 // Route finds a DRC-clean path for the request, or ok=false. The returned
@@ -233,6 +310,13 @@ func (la *Lattice) ensureSearch() *searchState {
 // are off-lattice or on a disallowed layer is rejected before any search
 // runs and reports no effort; every search that runs reports its effort
 // to req.Stats and the attached tracer.
+//
+// Beside A*, a flood fill from the goal walks the goal's component of the
+// relaxed move graph — A*'s moves without the turn rule and the cost cap
+// — one node per A* expansion. If it exhausts the component before
+// meeting A*, the goal is disconnected from the start and Route returns
+// the failure the full search would reach (DESIGN.md §5, "Goal-side
+// refutation").
 func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 	fi, fj, ok1 := la.NodeAt(req.From)
 	ti, tj, ok2 := la.NodeAt(req.To)
@@ -245,46 +329,20 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 	if req.MaxCost == 0 {
 		req.MaxCost = 4*geom.OctDist(req.From, req.To) + 40*float64(la.Pitch)
 	}
-	layerAllowed := func(l int) bool {
-		return req.LayerMask == nil || (l < len(req.LayerMask) && req.LayerMask[l])
+	r := moveRules{
+		la: la, req: &req, own: int32(req.Net) + 1, ignore: req.IgnoreForeign,
+		fi: fi, fj: fj, ti: ti, tj: tj,
 	}
-	if !layerAllowed(req.FromLayer) || !layerAllowed(req.ToLayer) {
+	if !r.layerOK(req.FromLayer) || !r.layerOK(req.ToLayer) {
 		return nil, 0, false
 	}
 	ss := la.ensureSearch()
 	expanded, visited := 0, 0
-	defer func() { la.recordSearch(&req, expanded, visited, ok) }()
+	var fl goalFlood
+	defer func() { la.recordSearch(&req, expanded, visited, fl.popped, ok, fl.refuted) }()
 
 	goalNode := la.idx(ti, tj)
-	isTerminal := func(i, j int) bool {
-		return (i == fi && j == fj) || (i == ti && j == tj)
-	}
-	regionOK := func(l, i, j int) bool {
-		return req.RegionMask == nil || req.RegionMask.Allowed(l, i, j) || isTerminal(i, j)
-	}
-
-	// Search window: nodes outside it provably have f > MaxCost (each
-	// axis offset is a lower bound on both the cost so far and the
-	// remaining heuristic), so clipping expansion to it cannot change the
-	// search outcome — it only stops the frontier from flooding the whole
-	// lattice on hard or unroutable nets.
-	wi0, wj0, wi1, wj1 := la.SearchWindow(req.From, req.To, req.MaxCost)
-
-	wireOK := func(l, i, j int) bool {
-		if req.IgnoreForeign {
-			return la.wireOcc[l*la.NX*la.NY+la.idx(i, j)] != hard
-		}
-		return la.WireFree(l, i, j, req.Net)
-	}
-	viaOK := func(s, i, j int) bool {
-		if req.IgnoreForeign {
-			n := la.NX * la.NY
-			return la.viaOcc[s*n+la.idx(i, j)] != hard &&
-				la.wireOcc[s*n+la.idx(i, j)] != hard &&
-				la.wireOcc[(s+1)*n+la.idx(i, j)] != hard
-		}
-		return la.ViaFree(s, i, j, req.Net)
-	}
+	r.wi0, r.wj0, r.wi1, r.wj1 = la.SearchWindow(req.From, req.To, req.MaxCost)
 
 	h := func(i, j, l int) float64 {
 		d := geom.OctDist(la.NodePoint(i, j), req.To)
@@ -306,7 +364,10 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 	}
 
 	start := la.stateID(req.FromLayer, fi, fj, noDir)
-	if !wireOK(req.FromLayer, fi, fj) {
+	if !r.wireOK(req.FromLayer, fi, fj) {
+		return nil, 0, false
+	}
+	if fl.start(&r, ss); fl.refuted {
 		return nil, 0, false
 	}
 	relax(start, 0, -1, h(fi, fj, req.FromLayer))
@@ -328,6 +389,9 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 		if l == req.ToLayer && la.idx(i, j) == goalNode {
 			return la.rebuild(ss, s), ss.dist[s], true
 		}
+		if fl.active {
+			fl.expand(ss, la.nodeID(l, i, j))
+		}
 		d := ss.dist[s]
 		// Wire moves.
 		for nd, mv := range moves {
@@ -335,10 +399,10 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 				continue
 			}
 			ni, nj := i+mv.dx, j+mv.dy
-			if ni < wi0 || nj < wj0 || ni > wi1 || nj > wj1 {
+			if !r.inWindow(ni, nj) {
 				continue
 			}
-			if !wireOK(l, ni, nj) || !regionOK(l, ni, nj) {
+			if !r.wireOK(l, ni, nj) || !r.regionOK(l, ni, nj) {
 				continue
 			}
 			if !la.edgeFree(l, i, j, nd, req.Net, req.IgnoreForeign) {
@@ -366,14 +430,14 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 		// Via moves.
 		for _, dl := range []int{-1, 1} {
 			nl := l + dl
-			if nl < 0 || nl >= la.Layers || !layerAllowed(nl) {
+			if nl < 0 || nl >= la.Layers || !r.layerOK(nl) {
 				continue
 			}
 			slab := l
 			if nl < l {
 				slab = nl
 			}
-			if !viaOK(slab, i, j) || !regionOK(nl, i, j) {
+			if !r.viaOK(slab, i, j) || !r.regionOK(nl, i, j) {
 				continue
 			}
 			ns := la.stateID(nl, i, j, noDir)
@@ -387,8 +451,108 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 			}
 			relax(ns, nd2, s, pri)
 		}
+		if fl.active {
+			if fl.step(&r, ss); fl.refuted {
+				return nil, 0, false
+			}
+		}
 	}
 	return nil, 0, false
+}
+
+// goalFlood is the goal-side refutation of one search: a flood fill of
+// the goal's component in the relaxed move graph, paced at one node per A*
+// expansion. The graph's nodes are those A* may occupy: inside the window,
+// on an allowed layer, admitting the net and inside the region or at a
+// terminal. Its edges are A*'s wire and via moves between them without
+// the turn rule and the cost cap, which only remove moves, so every path
+// A* can find runs inside it and a component without the start holds no
+// path. Nodes carry searchState.mark stamps: exp once A* has expanded
+// them, reached once the flood has.
+type goalFlood struct {
+	exp, reached uint32
+	// active: the flood may still refute. It stops for good once it
+	// meets a node A* has expanded (the start is the first), since the
+	// goal is then connected to the start.
+	active bool
+	// refuted: the flood exhausted the goal's component first.
+	refuted bool
+	popped  int // nodes taken off the stack
+}
+
+// start seeds the flood with the goal node. A goal at the start node
+// needs no flood; a goal outside the graph is refuted at once.
+func (fl *goalFlood) start(r *moveRules, ss *searchState) {
+	req := r.req
+	if req.FromLayer == req.ToLayer && r.fi == r.ti && r.fj == r.tj {
+		return
+	}
+	if !r.wireOK(req.ToLayer, r.ti, r.tj) {
+		fl.refuted = true
+		return
+	}
+	fl.exp, fl.reached = ss.cur<<1, ss.cur<<1|1
+	fl.active = true
+	fl.reach(ss, r.la.nodeID(req.ToLayer, r.ti, r.tj))
+}
+
+// expand notes that A* has expanded node k.
+func (fl *goalFlood) expand(ss *searchState, k int) {
+	if ss.mark[k] == fl.reached {
+		fl.active = false
+	} else {
+		ss.mark[k] = fl.exp
+	}
+}
+
+// reach adds node k to the flood, or stops the flood if A* has expanded
+// it.
+func (fl *goalFlood) reach(ss *searchState, k int) {
+	switch ss.mark[k] {
+	case fl.reached:
+	case fl.exp:
+		fl.active = false
+	default:
+		ss.mark[k] = fl.reached
+		ss.stack = append(ss.stack, int32(k))
+	}
+}
+
+// step takes one node off the stack and reaches its neighbours in the
+// relaxed graph. An empty stack afterwards refutes the search.
+func (fl *goalFlood) step(r *moveRules, ss *searchState) {
+	la := r.la
+	k := int(ss.stack[len(ss.stack)-1])
+	ss.stack = ss.stack[:len(ss.stack)-1]
+	fl.popped++
+	i, j, l := k%la.NX, k/la.NX%la.NY, k/(la.NX*la.NY)
+	for nd, mv := range moves {
+		ni, nj := i+mv.dx, j+mv.dy
+		if !r.inWindow(ni, nj) {
+			continue
+		}
+		nk := la.nodeID(l, ni, nj)
+		if ss.mark[nk] == fl.reached || !r.wireOK(l, ni, nj) || !r.regionOK(l, ni, nj) ||
+			!la.edgeFree(l, i, j, nd, r.req.Net, r.req.IgnoreForeign) {
+			continue
+		}
+		if fl.reach(ss, nk); !fl.active {
+			return
+		}
+	}
+	for _, nl := range [2]int{l - 1, l + 1} {
+		if nl < 0 || nl >= la.Layers || !r.layerOK(nl) {
+			continue
+		}
+		nk := la.nodeID(nl, i, j)
+		if ss.mark[nk] == fl.reached || !r.viaOK(min(l, nl), i, j) || !r.regionOK(nl, i, j) {
+			continue
+		}
+		if fl.reach(ss, nk); !fl.active {
+			return
+		}
+	}
+	fl.refuted = len(ss.stack) == 0
 }
 
 // rebuild converts the predecessor chain into a compact step path with

@@ -16,7 +16,8 @@ import (
 
 // The golden quality gate pins what a DefaultOptions route of each Table-I
 // circuit produces: routability, wirelength, the lattice fingerprint, the
-// stage-3 graph size, the per-stage net split and the total A* effort. A
+// stage-3 graph size, the per-stage net split and the total A* effort,
+// with the searches the goal-side flood refuted and the nodes it took. A
 // change that moves any of them must regenerate the files in the same diff
 // and say why:
 //
@@ -40,6 +41,8 @@ type golden struct {
 	Fallback      int     `json:"fallback"`
 	AStarExpanded int64   `json:"astar_expanded"`
 	AStarVisited  int64   `json:"astar_visited"`
+	AStarRefuted  int64   `json:"astar_refuted"`
+	AStarFlood    int64   `json:"astar_flood_nodes"`
 }
 
 func routeGolden(t *testing.T, name string) golden {
@@ -72,6 +75,8 @@ func routeGolden(t *testing.T, name string) golden {
 		Fallback:      res.FallbackRouted,
 		AStarExpanded: int64(snap.Dists["astar.expanded"].Sum),
 		AStarVisited:  int64(snap.Dists["astar.visited"].Sum),
+		AStarRefuted:  c.Counter("astar.refuted"),
+		AStarFlood:    c.Counter("astar.flood_nodes"),
 	}
 }
 

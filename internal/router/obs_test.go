@@ -188,6 +188,40 @@ func TestObsCorridorCounters(t *testing.T) {
 	}
 }
 
+// TestObsRefutationCounters checks the goal-side flood's counters on a
+// traced dense1 route: astar.refuted counts failed searches the flood
+// ended, so it cannot exceed astar.failures, and astar.flood_nodes counts
+// the nodes the flood took. dense1 has refuted searches, so both must be
+// present and positive.
+func TestObsRefutationCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dense benchmark in -short mode")
+	}
+	spec, err := design.DenseSpec("dense1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := design.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := obs.NewCollector()
+	opts := DefaultOptions()
+	opts.Tracer = c
+	if _, err := Route(d, opts); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Snapshot()
+	for _, name := range []string{"astar.refuted", "astar.flood_nodes"} {
+		if _, ok := snap.Counters[name]; !ok || c.Counter(name) <= 0 {
+			t.Errorf("counter %s = %d, want it present and positive", name, c.Counter(name))
+		}
+	}
+	if r, f := c.Counter("astar.refuted"), c.Counter("astar.failures"); r > f {
+		t.Errorf("astar.refuted = %d, want at most astar.failures = %d", r, f)
+	}
+}
+
 // TestObsJSONLReplayDense1 is the acceptance check: a traced dense1 run
 // must emit at least one span per stage, at least one route event per
 // routed net, and the LP convergence series, all recoverable from the
