@@ -14,16 +14,17 @@ go vet ./...
 echo "== regression gate (lattice/router/geom) =="
 # Fast fail on the targeted regression tests before the full sweep: the
 # rip-up lattice threading, the int32 state-space bound, edge claims
-# against the reference distance test, the Oct8.Center containment
-# property, the T-junction connectivity union and the cancellation
-# fingerprint gate.
+# against the reference distance test, goal-side refutation against the
+# reference A*, the Oct8.Center containment property, the T-junction
+# connectivity union and the cancellation fingerprint gate.
 go test -race -run \
-  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption' \
+  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption' \
   ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/
 echo "== lattice microbenchmarks: one iteration each =="
-# Keeps BenchmarkNew (pad claims) and BenchmarkCommit (wire and via
-# claims) compiling and running; time them with -benchmem and the
-# default -benchtime when comparing two checkouts.
+# Keeps BenchmarkNew (pad claims), BenchmarkCommit (wire and via claims)
+# and BenchmarkRoute (a refuted and a successful search) compiling and
+# running; time them with -benchmem and the default -benchtime when
+# comparing two checkouts.
 go test -run '^$' -bench . -benchtime 1x ./internal/lattice
 echo "== golden quality gate: dense1..5 =="
 # Routed nets, wirelength, lattice fingerprint, tile count, stage split
