@@ -160,7 +160,7 @@ func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, o
 	return nil, 0, false
 }
 
-// refuteSide is the node count of the random lattices: 60×60 at pitch 12.
+// refuteSide is the side, in nodes, of the random lattices (pitch 12).
 const refuteSide = 60
 
 // ring is a closed square of foreign wire or obstacles, radius r nodes
@@ -265,7 +265,7 @@ func randomRefuteLattice(t *testing.T, rng *rand.Rand) (*Lattice, []ring) {
 }
 
 // randomRefuteRequest returns a seeded random request on la. Terminals sit
-// anywhere, inside a ring, or at the same node on two layers; region
+// anywhere, inside a ring, or at the same (i, j) on two layers; region
 // masks are absent, random rectangles, a full-height band cut between
 // the terminals, or empty (terminals only); some searches ignore foreign
 // claims, cap the cost near the direct distance, or mask layers.
@@ -282,7 +282,7 @@ func randomRefuteRequest(rng *rand.Rand, la *Lattice, rings []ring) Request {
 		} else {
 			fi, fj = ci, cj
 		}
-	case k == 1: // same node on two layers
+	case k == 1: // same (i, j), on two layers unless both draw the same one
 		ti, tj = fi, fj
 	}
 	req := Request{
