@@ -113,9 +113,10 @@ func TestOptimizeRespectsNeighborSpacing(t *testing.T) {
 	}
 }
 
-func TestOptimizeMovesVias(t *testing.T) {
-	// Net with a mid-path via pair detouring on layer 1; the via columns
-	// should move to shorten the path.
+func TestOptimizeKeepsViasFixed(t *testing.T) {
+	// Net with a mid-path via pair detouring on layer 1, neither via at a
+	// pad: via centers are not LP variables, so both must stay where
+	// stage 4 put them while the layout stays legal.
 	l := layout.New(dsn(2))
 	steps := []lattice.PathStep{
 		{Layer: 0, Pt: geom.Pt(48, 48)},
@@ -129,11 +130,22 @@ func TestOptimizeMovesVias(t *testing.T) {
 	}
 	l.AddPath(0, steps)
 	l.MarkRouted(0)
+	centers := make([]geom.Point, len(l.Vias))
+	for i, v := range l.Vias {
+		centers[i] = v.Center
+	}
+	if len(centers) == 0 {
+		t.Fatal("detour has no vias")
+	}
 	before := l.Wirelength()
-	Optimize(l, Options{MoveVias: true})
-	after := l.Wirelength()
-	if after >= before {
-		t.Errorf("via-path wirelength not reduced: %v -> %v", before, after)
+	Optimize(l, Options{})
+	for i, v := range l.Vias {
+		if v.Center != centers[i] {
+			t.Errorf("via %d moved %v -> %v", i, centers[i], v.Center)
+		}
+	}
+	if after := l.Wirelength(); after > before {
+		t.Errorf("via-path wirelength grew: %v -> %v", before, after)
 	}
 	if vs := drc.Check(l); len(vs) != 0 {
 		t.Fatalf("violations after optimization: %v", vs)

@@ -1,15 +1,21 @@
 // Package lpopt implements the paper's LP-based Layout Optimization
-// (Section III-E): Layout Mapping of routes and vias onto x/y/c variables,
-// Constraint Generation (fixed, route and interactive constraints),
-// LP Problem Formulation minimizing total wirelength, and Iterative
-// Solving with crossing/spacing repair until the layout is legal.
+// (Section III-E): Layout Mapping of routes onto c variables, Constraint
+// Generation (fixed, route and interactive constraints), LP Problem
+// Formulation minimizing total wirelength, and Iterative Solving with
+// crossing/spacing repair until the layout is legal.
 //
 // Deviations from the paper, chosen for exactness on integer geometry:
 //
+//   - Via centers are frozen: the paper also makes them LP variables
+//     (Fig. 8a); here every via keeps the center stage 4 gave it, so each
+//     route runs between two constant anchors. Via-anchored expressions
+//     chain several variables, and their accumulated integer-rounding
+//     error cannot be bounded by the monotonicity margins on dense
+//     layouts; with vias frozen the rounding error per route delta is
+//     provably within margin.
 //   - Point variables are eliminated: every interior route point is the
 //     intersection of two orientation-fixed lines, so its coordinates are
-//     affine in the two c variables. The solver sees only c variables and
-//     via-center (x, y) variables.
+//     affine in the two c variables. The solver sees only c variables.
 //   - Interactive constraints separate entity pairs along one of the four
 //     canonical axes (x, y, x+y, y−x); for octilinear geometry a
 //     separating axis always exists among these.
@@ -165,32 +171,7 @@ func intersect(o1 geom.Orient, c1 expr, o2 geom.Orient, c2 expr) (pointE, bool) 
 type viaCol struct {
 	net     int
 	init    geom.Point
-	fixed   bool
-	vx, vy  int   // global vars when movable
 	viaIdxs []int // indices into layout.Vias
-	// const-orientation ties from single-segment routes anchored at a pad:
-	// the column must stay on these fixed lines.
-	ties []tie
-	// links to other columns through single-segment via↔via routes: both
-	// centers stay on a common line of the given orientation.
-	links []colLink
-}
-
-type tie struct {
-	o geom.Orient
-	c int64
-}
-
-type colLink struct {
-	other int
-	o     geom.Orient
-}
-
-func (v *viaCol) point() pointE {
-	if v.fixed {
-		return fixedPoint(v.init)
-	}
-	return pointE{varExpr(v.vx), varExpr(v.vy)}
 }
 
 // mroute is the symbolic model of one layout route.
@@ -203,8 +184,7 @@ type mroute struct {
 	sigma   []float64 // initial direction sign along the dominant coord
 	anch0   pointE
 	anch1   pointE
-	col0    int // via column index or −1
-	col1    int
+	vars    []int // global vars of the interior segments' c values
 }
 
 // points returns the symbolic polyline points.
@@ -259,7 +239,7 @@ type model struct {
 	lay     *layout.Layout
 	nvars   int
 	initVal []float64
-	varOwn  []int // owning entity group per var (column ci, or route li offset)
+	varOwn  []int // owning route (index into routes) per var
 	routes  []mroute
 	cols    []viaCol
 	cons    []gcons
@@ -280,9 +260,6 @@ type fixedShape struct {
 	net int
 }
 
-// routeOwner offsets route owner ids past the column owner ids.
-const routeOwner = 1 << 24
-
 func (m *model) newVar(init float64, owner int) int {
 	m.initVal = append(m.initVal, init)
 	m.varOwn = append(m.varOwn, owner)
@@ -302,20 +279,10 @@ func (m *model) sepCons(lo, hi expr, margin float64) {
 }
 
 // buildModel maps the layout onto the symbolic model (Layout Mapping plus
-// fixed and route constraint generation). moveVias controls whether via
-// centers become variables.
-func buildModel(lay *layout.Layout, moveVias bool) *model {
+// fixed and route constraint generation).
+func buildModel(lay *layout.Layout) *model {
 	d := lay.D
 	m := &model{lay: lay}
-
-	// Pad centers of each net (anchors are fixed there).
-	padPts := map[geom.Point]bool{}
-	for _, p := range d.IOPads {
-		padPts[p.Center] = true
-	}
-	for _, p := range d.BumpPads {
-		padPts[p.Center] = true
-	}
 
 	// Group vias into columns by (net, center).
 	colIdx := map[[3]int64]int{}
@@ -329,86 +296,6 @@ func buildModel(lay *layout.Layout, moveVias bool) *model {
 		}
 		m.cols[ci].viaIdxs = append(m.cols[ci].viaIdxs, vi)
 	}
-	// Columns at pad centers are fixed; without MoveVias every column is.
-	for ci := range m.cols {
-		if !moveVias || padPts[m.cols[ci].init] {
-			m.cols[ci].fixed = true
-		}
-	}
-
-	// First pass over routes: 2-point routes constrain their anchor
-	// columns — const ties for pad↔via segments, links for via↔via
-	// segments (both columns share the segment's carrier line).
-	findCol := func(net int, p geom.Point) int {
-		if ci, ok := colIdx[[3]int64{int64(net), p.X, p.Y}]; ok {
-			return ci
-		}
-		return -1
-	}
-	for li := range lay.Routes {
-		r := &lay.Routes[li]
-		if len(r.Pts) != 2 {
-			continue
-		}
-		c0 := findCol(r.Net, r.Pts[0])
-		c1 := findCol(r.Net, r.Pts[1])
-		o := geom.Seg(r.Pts[0], r.Pts[1]).Orient()
-		if o == geom.OrientNone {
-			if c0 >= 0 {
-				m.cols[c0].fixed = true
-			}
-			if c1 >= 0 {
-				m.cols[c1].fixed = true
-			}
-			continue
-		}
-		switch {
-		case c0 >= 0 && c1 >= 0:
-			m.cols[c0].links = append(m.cols[c0].links, colLink{c1, o})
-			m.cols[c1].links = append(m.cols[c1].links, colLink{c0, o})
-		case c0 >= 0 && padPts[r.Pts[1]]:
-			m.cols[c0].ties = append(m.cols[c0].ties, tie{o, o.CValue(r.Pts[1])})
-		case c1 >= 0 && padPts[r.Pts[0]]:
-			m.cols[c1].ties = append(m.cols[c1].ties, tie{o, o.CValue(r.Pts[0])})
-		}
-	}
-	// Resolve over-determination to a fixpoint: a fixed link endpoint
-	// becomes a const tie for the other side; ≥2 const ties pin a column.
-	for changed := true; changed; {
-		changed = false
-		for ci := range m.cols {
-			col := &m.cols[ci]
-			if !col.fixed && len(col.ties) >= 2 {
-				col.fixed = true
-				changed = true
-			}
-			if !col.fixed {
-				continue
-			}
-			for _, lk := range col.links {
-				other := &m.cols[lk.other]
-				if other.fixed {
-					continue
-				}
-				other.ties = append(other.ties, tie{lk.o, lk.o.CValue(col.init)})
-				changed = true
-			}
-			col.links = nil
-		}
-	}
-
-	// Allocate via variables and tie constraints.
-	for ci := range m.cols {
-		col := &m.cols[ci]
-		if col.fixed {
-			continue
-		}
-		col.vx = m.newVar(float64(col.init.X), ci)
-		col.vy = m.newVar(float64(col.init.Y), ci)
-		for _, t := range col.ties {
-			m.addCons(col.point().cvalue(t.o), opEQ, float64(t.c))
-		}
-	}
 
 	// Build route models.
 	for li := range lay.Routes {
@@ -416,7 +303,8 @@ func buildModel(lay *layout.Layout, moveVias bool) *model {
 		if len(r.Pts) < 2 {
 			continue
 		}
-		mr := mroute{li: li, net: r.Net, layer: r.Layer, col0: -1, col1: -1}
+		ri := len(m.routes)
+		mr := mroute{li: li, net: r.Net, layer: r.Layer}
 		ok := true
 		for i := 0; i+1 < len(r.Pts); i++ {
 			o := geom.Seg(r.Pts[i], r.Pts[i+1]).Orient()
@@ -430,51 +318,26 @@ func buildModel(lay *layout.Layout, moveVias bool) *model {
 			continue // non-octilinear route: leave untouched
 		}
 
-		// Anchors.
+		// Anchors are the route's end points, pad or via centers alike.
 		first, last := r.Pts[0], r.Pts[len(r.Pts)-1]
-		if ci := findCol(r.Net, first); ci >= 0 {
-			mr.col0 = ci
-			mr.anch0 = m.cols[ci].point()
-		} else {
-			mr.anch0 = fixedPoint(first)
-		}
-		if ci := findCol(r.Net, last); ci >= 0 {
-			mr.col1 = ci
-			mr.anch1 = m.cols[ci].point()
-		} else {
-			mr.anch1 = fixedPoint(last)
-		}
+		mr.anch0 = fixedPoint(first)
+		mr.anch1 = fixedPoint(last)
 
-		// c variables: end segments are tied to anchors; interior segments
-		// get free variables.
+		// c values: end segments stay on their anchors' lines; interior
+		// segments get free variables.
 		n := len(mr.orients)
 		mr.cs = make([]expr, n)
 		for k := 0; k < n; k++ {
 			o := mr.orients[k]
-			initC := float64(o.CValue(r.Pts[k]))
-			switch {
-			case k == 0 && mr.col0 == -1:
-				mr.cs[k] = constExpr(initC)
-			case k == n-1 && mr.col1 == -1 && n > 1:
+			switch k {
+			case 0:
+				mr.cs[k] = constExpr(float64(o.CValue(first)))
+			case n - 1:
 				mr.cs[k] = constExpr(float64(o.CValue(last)))
-			case k == 0 && mr.col0 >= 0:
-				// Line through a movable via: c = cvalue(via).
-				mr.cs[k] = mr.anch0.cvalue(o)
-			case k == n-1 && mr.col1 >= 0:
-				mr.cs[k] = mr.anch1.cvalue(o)
 			default:
-				v := m.newVar(initC, routeOwner+li)
+				v := m.newVar(float64(o.CValue(r.Pts[k])), ri)
+				mr.vars = append(mr.vars, v)
 				mr.cs[k] = varExpr(v)
-			}
-		}
-		// A single-segment route anchored at both ends: the line is
-		// determined by the first anchor; the second anchor must stay on
-		// it (route constraint).
-		if n == 1 {
-			o := mr.orients[0]
-			lhs := mr.anch1.cvalue(o).sub(mr.cs[0])
-			if !lhs.isConst() {
-				m.addCons(lhs, opEQ, 0)
 			}
 		}
 

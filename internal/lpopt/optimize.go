@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/obs"
 )
@@ -12,21 +13,8 @@ import (
 // Options tune the optimizer.
 type Options struct {
 	// MaxIters bounds the iterative-solving repair loop (the paper
-	// observes ≤ 50 on its largest benchmark).
+	// observes ≤ 50 on its largest benchmark). Zero means 50.
 	MaxIters int
-	// MaxComponentVars marks constraint components larger than this as
-	// oversize in the stats; they are still optimized via the
-	// coordinate-descent path rather than one joint LP.
-	MaxComponentVars int
-	// NearRadius seeds interactive constraints for entity pairs within
-	// this initial distance. Zero means 4 lattice pitches.
-	NearRadius int64
-	// MoveVias also makes via centers LP variables (paper Fig. 8a). Off by
-	// default: via-anchored expressions chain several variables, whose
-	// accumulated integer-rounding error cannot be bounded by the
-	// monotonicity margins on dense layouts; with vias frozen the rounding
-	// error per route delta is provably within margin.
-	MoveVias bool
 	// Tracer, when enabled, receives one "lp.iter" event per repair-loop
 	// iteration (objective value, residual violations, reverted
 	// components) — the convergence curve of Section III-E-4.
@@ -42,12 +30,15 @@ type Options struct {
 type Stats struct {
 	Iterations int
 	Components int
-	Oversize   int // components beyond MaxComponentVars (descent path)
 	Reverted   int // components reverted to initial geometry
 	Before     float64
 	After      float64
 	Cancelled  bool // Options.Ctx fired; the layout was left untouched
 }
+
+// nearRadius seeds interactive constraints for entity pairs within this
+// initial distance (4 lattice pitches).
+const nearRadius = 4 * design.Grid
 
 // Required center-based clearances, matching the lattice's occupancy model.
 func (m *model) reqWireWire() float64 {
@@ -181,15 +172,12 @@ func (m *model) collectEntities() []*entity {
 			layers = append(layers, l)
 		}
 		sort.Ints(layers)
-		p := col.point()
-		ent := &entity{
+		out = append(out, &entity{
 			net:    col.net,
 			layers: layers,
-			pts:    []pointE{p},
+			pts:    []pointE{fixedPoint(col.init)},
 			isVia:  true,
-			vars:   varsOf([]pointE{p}),
-		}
-		out = append(out, ent)
+		})
 	}
 	for l := range m.fixedShapes {
 		for i := range m.fixedShapes[l] {

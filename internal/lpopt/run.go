@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"rdlroute/internal/design"
 	"rdlroute/internal/dsu"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/layout"
@@ -22,16 +21,10 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 	if opt.MaxIters == 0 {
 		opt.MaxIters = 50
 	}
-	if opt.MaxComponentVars == 0 {
-		opt.MaxComponentVars = 400
-	}
-	if opt.NearRadius == 0 {
-		opt.NearRadius = 4 * design.Grid
-	}
 	tr := obs.Or(opt.Tracer)
 	st := Stats{Before: l.Wirelength()}
 	cancelled := func() bool { return opt.Ctx != nil && opt.Ctx.Err() != nil }
-	m := buildModel(l, opt.MoveVias)
+	m := buildModel(l)
 	if opt.Ctx != nil {
 		m.check = opt.Ctx.Err
 	}
@@ -75,7 +68,7 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 		}
 	}
 
-	for _, k := range nearPairs(ents, m.initVal, opt.NearRadius) {
+	for _, k := range nearPairs(ents, m.initVal, nearRadius) {
 		if !seed(k) {
 			pinEntity(ents[k.a])
 			pinEntity(ents[k.b])
@@ -141,11 +134,6 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 					continue
 				}
 			}
-			if len(vars) > opt.MaxComponentVars {
-				// Very large components take the coordinate-descent path
-				// inside solveComponent; count them for the stats.
-				st.Oversize++
-			}
 			if !m.solveComponent(vars, consBy[rep], objBy[rep], vals) {
 				st.Reverted++
 				reverted[rep] = true
@@ -162,10 +150,9 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 
 		// Rounding to even integers preserves the route-internal rows by
 		// construction: monotonicity is enforced at ≥ 4 and rounding moves
-		// any point coordinate by at most 2, and tie/link equalities are
-		// re-derived exactly. Separation rows may go short by ±2, which
-		// the geometric violation scan below catches and repairs through
-		// margin escalation.
+		// any point coordinate by at most 2. Separation rows may go short
+		// by ±2, which the geometric violation scan below catches and
+		// repairs through margin escalation.
 
 		// Violation detection on the rounded geometry.
 		type viol struct {
@@ -496,10 +483,10 @@ func appendSig(sig []byte, v int, c float64) []byte {
 	return sig
 }
 
-// descend performs coordinate descent over the component's entity groups
-// (routes and via columns): each group is optimized by a small LP with
-// every other group frozen at its current value. Feasibility is preserved
-// at every step, so large components still improve without a giant LP.
+// descend performs coordinate descent over the component's routes: each
+// route's variables are optimized by a small LP with every other route
+// frozen at its current values. Feasibility is preserved at every step,
+// so large components still improve without a giant LP.
 func (m *model) descend(vars []int, cons []gcons, obj []term, vals []float64) bool {
 	groups := map[int][]int{}
 	for _, v := range vars {
@@ -546,120 +533,16 @@ func (m *model) descend(vars []int, cons []gcons, obj []term, vals []float64) bo
 	return improvedAny
 }
 
-// integerize rounds the solution to integer geometry: via coordinates and
-// free c variables to even integers (so diagonal line intersections stay
-// integral). Column coordinates constrained by ties (fixed lines) or links
-// (shared lines with other columns) are derived instead of rounded so the
-// equalities hold exactly; inconsistent link cycles revert their
-// components to the legal initial geometry.
+// integerize rounds the solution to integer geometry: every c variable
+// to an even integer (so diagonal line intersections stay integral), or
+// back to its initial value when its component is reverted.
 func (m *model) integerize(vals []float64, reverted map[int]bool, comp *dsu.DSU) {
-	roundEven := func(v float64) float64 { return math.Round(v/2) * 2 }
-	isReverted := func(v int) bool { return reverted[comp.Find(v)] }
-
-	// Column coordinate access at the current assignment.
-	colC := func(ci int, o geom.Orient) float64 {
-		col := &m.cols[ci]
-		a, b := o.LineCoeff()
-		if col.fixed {
-			return float64(a)*float64(col.init.X) + float64(b)*float64(col.init.Y)
-		}
-		return float64(a)*vals[col.vx] + float64(b)*vals[col.vy]
-	}
-	// deriveOnLine rounds the column's free coordinate and derives the
-	// other from the line a·x + b·y = c.
-	deriveOnLine := func(ci int, o geom.Orient, c float64) {
-		col := &m.cols[ci]
-		switch o {
-		case geom.OrientH: // y = c
-			vals[col.vy] = c
-			vals[col.vx] = roundEven(vals[col.vx])
-		case geom.OrientV: // x = c
-			vals[col.vx] = c
-			vals[col.vy] = roundEven(vals[col.vy])
-		case geom.OrientD135: // x + y = c
-			vals[col.vx] = roundEven(vals[col.vx])
-			vals[col.vy] = c - vals[col.vx]
-		default: // y − x = c
-			vals[col.vx] = roundEven(vals[col.vx])
-			vals[col.vy] = c + vals[col.vx]
-		}
-	}
-
-	processed := make([]bool, len(m.cols))
-	var queue []int
-	enqueue := func(ci int) {
-		processed[ci] = true
-		queue = append(queue, ci)
-	}
-	for ci := range m.cols {
-		col := &m.cols[ci]
-		switch {
-		case col.fixed:
-			enqueue(ci)
-		case isReverted(col.vx):
-			vals[col.vx] = m.initVal[col.vx]
-			vals[col.vy] = m.initVal[col.vy]
-			enqueue(ci)
-		case len(col.ties) >= 1:
-			deriveOnLine(ci, col.ties[0].o, float64(col.ties[0].c))
-			enqueue(ci)
-		}
-	}
-	propagate := func() {
-		for len(queue) > 0 {
-			ci := queue[0]
-			queue = queue[1:]
-			for _, lk := range m.cols[ci].links {
-				other := &m.cols[lk.other]
-				c := colC(ci, lk.o)
-				if processed[lk.other] {
-					if math.Abs(colC(lk.other, lk.o)-c) > 0.5 {
-						// Inconsistent cycle: revert both components.
-						for _, cc := range []*viaCol{&m.cols[ci], other} {
-							if !cc.fixed {
-								reverted[comp.Find(cc.vx)] = true
-							}
-						}
-					}
-					continue
-				}
-				if other.fixed {
-					processed[lk.other] = true
-					continue
-				}
-				deriveOnLine(lk.other, lk.o, c)
-				enqueue(lk.other)
-			}
-		}
-	}
-	propagate()
-	for ci := range m.cols {
-		if processed[ci] {
-			continue
-		}
-		col := &m.cols[ci]
-		vals[col.vx] = roundEven(vals[col.vx])
-		vals[col.vy] = roundEven(vals[col.vy])
-		enqueue(ci)
-		propagate()
-	}
-
-	viaVar := make(map[int]bool)
-	for ci := range m.cols {
-		if !m.cols[ci].fixed {
-			viaVar[m.cols[ci].vx] = true
-			viaVar[m.cols[ci].vy] = true
-		}
-	}
 	for v := 0; v < m.nvars; v++ {
-		if isReverted(v) {
+		if reverted[comp.Find(v)] {
 			vals[v] = m.initVal[v]
-			continue
+		} else {
+			vals[v] = math.Round(vals[v]/2) * 2
 		}
-		if viaVar[v] {
-			continue
-		}
-		vals[v] = roundEven(vals[v])
 	}
 }
 
@@ -680,16 +563,6 @@ func (m *model) writeBack(vals []float64) {
 			m.lay.Routes[mr.li].Pts = out
 		}
 	}
-	for ci := range m.cols {
-		col := &m.cols[ci]
-		if col.fixed {
-			continue
-		}
-		c := geom.Pt(int64(math.Round(vals[col.vx])), int64(math.Round(vals[col.vy])))
-		for _, vi := range col.viaIdxs {
-			m.lay.Vias[vi].Center = c
-		}
-	}
 }
 
 // resetInconsistentRoutes reverts any route whose direction signs no
@@ -697,13 +570,8 @@ func (m *model) writeBack(vals []float64) {
 // infeasible state (after margin escalation) and skips a group. With via
 // centers frozen, every route's variables are self-contained, so resetting
 // just that route restores its legal initial geometry without touching
-// anything else. It returns the number of routes reset.
-func (m *model) resetInconsistentRoutes(vals []float64, dirty map[int]bool) int {
-	ownerVars := map[int][]int{}
-	for v := 0; v < m.nvars; v++ {
-		ownerVars[m.varOwn[v]] = append(ownerVars[m.varOwn[v]], v)
-	}
-	resets := 0
+// anything else.
+func (m *model) resetInconsistentRoutes(vals []float64, dirty map[int]bool) {
 	for ri := range m.routes {
 		mr := &m.routes[ri]
 		pts := mr.points()
@@ -719,13 +587,11 @@ func (m *model) resetInconsistentRoutes(vals []float64, dirty map[int]bool) int 
 		if !bad {
 			continue
 		}
-		for _, v := range ownerVars[routeOwner+mr.li] {
+		for _, v := range mr.vars {
 			vals[v] = m.initVal[v]
 			if dirty != nil {
 				dirty[v] = true
 			}
 		}
-		resets++
 	}
-	return resets
 }
