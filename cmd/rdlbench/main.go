@@ -70,8 +70,7 @@ func run() int {
 		portRun  = flag.Bool("portfolio", false, "run the ordering-portfolio sweep: each circuit routed single-policy and with -portfolio-k raced policies, with a winner-equals-solo byte-identity check")
 		portK    = flag.Int("portfolio-k", 6, "ordering-registry policies to race for -portfolio (max 16)")
 		quick    = flag.Bool("quick", false, "restrict circuit sweeps to dense1..dense3")
-		workers  = flag.Int("workers", 0, "worker-pool bound inside each routing run (0 = GOMAXPROCS, 1 = sequential); results are identical at every value")
-		parallel = flag.Int("parallel", 1, "route up to this many circuits concurrently across the batch (0 = GOMAXPROCS); interleaves per-run timings and any -trace stream")
+		workers  = flag.Int("workers", 0, "worker-pool bound inside each run of our flow (0 = GOMAXPROCS, 1 = sequential); results are identical at every value")
 		timeout  = flag.Duration("timeout", 0, `per-circuit routing deadline for the Table-I sweep; timed-out circuits are reported with status "timeout" (0 = none)`)
 		jsonOut  = flag.String("json", "", "also write every result as a JSON report to this file (see EXPERIMENTS.md)")
 		metOut   = flag.String("metrics", "", `write the batch's production metrics as a Prometheus text exposition to this file ("-" = stdout)`)
@@ -133,7 +132,6 @@ func run() int {
 	bench.Tracer = obs.Multi(sinks...)
 	bench.Timeout = *timeout
 	bench.Workers = *workers
-	bench.Parallel = *parallel
 
 	rep := &bench.Report{Circuits: names}
 	errCount := 0

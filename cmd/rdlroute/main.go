@@ -50,7 +50,7 @@ func run() int {
 		oJSON     = flag.String("o", "", "write the routing result (rdl-result/v1 JSON) to this file")
 		heat      = flag.Bool("congest", false, "print per-layer congestion heatmaps")
 		ripup     = flag.Int("ripup", 0, "rip-up-and-reroute rounds (extension beyond the paper; 0 = off)")
-		workers   = flag.Int("workers", 0, "worker-pool bound for the flow's parallel stages (0 = GOMAXPROCS, 1 = sequential); the routed result is identical at every value")
+		workers   = flag.Int("workers", 0, "worker-pool bound for the parallel stages of -flow ours (0 = GOMAXPROCS, 1 = sequential); the routed result is identical at every value")
 		portfolio = flag.Int("portfolio", 0, "race the first N ordering-registry policies through the sequential stage and keep the best result (0 = off, max 16); deterministic at any worker count")
 		deltaIn   = flag.String("delta", "", `ECO delta file (rdl-design-delta/v1 JSON): apply the delta to the loaded design and route the edited design (flow "ours" only)`)
 		hashOnly  = flag.Bool("hash", false, "print the design's content hash (sha256 of the canonical rdl-design/v1 bytes, the delta \"base\" field) and exit")
@@ -198,7 +198,6 @@ func run() int {
 		fmt.Printf("runtime     %v\n", res.Runtime)
 	case "linext":
 		opts := rdlroute.DefaultBaselineOptions()
-		opts.Workers = *workers
 		opts.Tracer = tracer
 		res, err := rdlroute.RouteLinExt(d, opts)
 		if err != nil {

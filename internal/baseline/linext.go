@@ -24,20 +24,12 @@ import (
 	"rdlroute/internal/layout"
 	"rdlroute/internal/mpsc"
 	"rdlroute/internal/obs"
-	"rdlroute/internal/par"
 )
 
 // Options tune the baseline.
 type Options struct {
 	Pitch   int64
 	ViaCost float64
-
-	// Workers bounds the worker pool for the data-parallel parts of the
-	// layer assignment (the per-chip incident-net scan). 0 means
-	// GOMAXPROCS; results are identical at every value. The concentric
-	// DP itself and the A* stages stay sequential — each layer's picks
-	// feed the next chip's model.
-	Workers int
 
 	// Tracer, when non-nil and enabled, receives the baseline's stage
 	// spans (linext-assign / linext-concurrent / linext-sequential), the
@@ -128,7 +120,7 @@ func RouteContext(ctx context.Context, d *design.Design, opts Options) (*Result,
 	}
 
 	end := obs.Stage(tr, "linext-assign", obs.String("design", d.Name))
-	assigned, err := concentricAssign(ctx, d, opts.Workers, tr)
+	assigned, err := concentricAssign(ctx, d, tr)
 	end()
 	if err != nil {
 		return nil, err
@@ -270,10 +262,11 @@ func routeSingleLayer(ctx context.Context, d *design.Design, la *lattice.Lattice
 // by angle around the chip center (unweighted — Lin's model has no
 // congestion term). The per-chip incident-net scan (which nets touch
 // which chip, at what angles) does not depend on the evolving done set,
-// so it is precomputed once with the worker pool; the DP walk over
-// layers × chips stays sequential because each pick feeds the next model.
-func concentricAssign(ctx context.Context, d *design.Design, workers int, tr obs.Tracer) ([][]int, error) {
-	incident, err := par.Map(ctx, workers, len(d.Chips), func(chip int) ([]chipEv, error) {
+// so it is precomputed once; each pick of the DP walk over layers × chips
+// feeds the next model.
+func concentricAssign(ctx context.Context, d *design.Design, tr obs.Tracer) ([][]int, error) {
+	incident := make([][]chipEv, len(d.Chips))
+	for chip := range d.Chips {
 		center := d.Chips[chip].Box.Center()
 		var evs []chipEv
 		for ni, n := range d.Nets {
@@ -291,10 +284,7 @@ func concentricAssign(ctx context.Context, d *design.Design, workers int, tr obs
 			evs = append(evs, chipEv{ni, angleOf(center, p1.Center), len(evs)})
 			evs = append(evs, chipEv{ni, angleOf(center, p2.Center), len(evs)})
 		}
-		return evs, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		incident[chip] = evs
 	}
 	assigned := make([][]int, d.WireLayers)
 	done := map[int]bool{}

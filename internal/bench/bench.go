@@ -4,8 +4,7 @@
 // Figure 5 weighted-MPSC experiment (congestion-aware weights close the
 // layer-assignment/detailed-routing gap), the Figure 7 LP wirelength
 // experiment, the LP convergence claim of Section III-E-4, and ablations
-// for each design choice. Both cmd/rdlbench and the repository's
-// bench_test.go drive these entry points.
+// for each design choice. cmd/rdlbench drives these entry points.
 package bench
 
 import (
@@ -22,17 +21,13 @@ import (
 	"rdlroute/internal/geom"
 	"rdlroute/internal/mpsc"
 	"rdlroute/internal/obs"
-	"rdlroute/internal/par"
 	"rdlroute/internal/router"
 )
 
 // Tracer, when non-nil, is attached to every routing run the Run* entry
 // points perform (both flows). cmd/rdlbench sets it from its -trace and
-// -cpuprofile flags; tests may point it at an obs.Collector. With
-// Parallel <= 1 runs execute sequentially, so one shared sink sees a
-// well-ordered stream; above that, concurrent runs interleave their
-// events (per-run Collectors attached by instrumentedOptions stay
-// coherent either way).
+// -cpuprofile flags; tests may point it at an obs.Collector. Runs execute
+// one after another, so one shared sink sees a well-ordered stream.
 var Tracer obs.Tracer
 
 // Timeout, when positive, caps each routing run of the Table-I sweep (one
@@ -41,18 +36,10 @@ var Tracer obs.Tracer
 // cmd/rdlbench sets it from its -timeout flag.
 var Timeout time.Duration
 
-// Workers is the per-run worker-pool bound handed to both flows'
+// Workers is the per-run worker-pool bound handed to the router's
 // Options.Workers (0 = GOMAXPROCS, 1 = sequential). It changes run time
 // only — routed results are byte-identical at every value.
 var Workers int
-
-// Parallel fans whole circuits out across the batch: RunTable1,
-// RunMetrics and RunAblations route up to this many circuits
-// concurrently (0 = GOMAXPROCS). The default 1 keeps the batch
-// sequential, which keeps a shared Tracer stream well-ordered and run
-// timings honest. Rows are index-addressed and merged in input order, so
-// reports are identical at every value.
-var Parallel = 1
 
 // timeoutCtx returns the per-run context under the package Timeout.
 func timeoutCtx() (context.Context, context.CancelFunc) {
@@ -81,11 +68,10 @@ func instrumentedOptions() router.Options {
 }
 
 // baselineOptions is the baseline's DefaultOptions plus the package
-// tracer and workers.
+// tracer.
 func baselineOptions() baseline.Options {
 	o := baseline.DefaultOptions()
 	o.Tracer = Tracer
-	o.Workers = Workers
 	return o
 }
 
@@ -101,18 +87,18 @@ type Table1Row struct {
 	OursDRC, LinDRC int
 }
 
-// RunTable1 generates and routes the named circuits with both flows. Up
-// to Parallel circuits run concurrently; rows come back in input order.
+// RunTable1 generates and routes the named circuits with both flows, one
+// circuit after another; rows come back in input order.
 func RunTable1(names []string) ([]Table1Row, error) {
-	return par.Map(context.Background(), Parallel, len(names), func(i int) (Table1Row, error) {
-		name := names[i]
+	rows := make([]Table1Row, len(names))
+	for i, name := range names {
 		spec, err := design.DenseSpec(name)
 		if err != nil {
-			return Table1Row{}, err
+			return nil, err
 		}
 		d, err := design.Generate(spec)
 		if err != nil {
-			return Table1Row{}, err
+			return nil, err
 		}
 		row := Table1Row{Stats: d.Stats(), Status: "ok"}
 		ctx, cancel := timeoutCtx()
@@ -122,7 +108,7 @@ func RunTable1(names []string) ([]Table1Row, error) {
 		case errors.Is(err, context.DeadlineExceeded):
 			row.Status = "timeout"
 		case err != nil:
-			return Table1Row{}, err
+			return nil, err
 		default:
 			row.Ours = ours
 			row.OursDRC = len(drc.Check(ours.Layout))
@@ -131,7 +117,7 @@ func RunTable1(names []string) ([]Table1Row, error) {
 		// clean slate (pads/nets identical by determinism).
 		d2, err := design.Generate(spec)
 		if err != nil {
-			return Table1Row{}, err
+			return nil, err
 		}
 		ctx, cancel = timeoutCtx()
 		lin, err := baseline.RouteContext(ctx, d2, baselineOptions())
@@ -140,13 +126,14 @@ func RunTable1(names []string) ([]Table1Row, error) {
 		case errors.Is(err, context.DeadlineExceeded):
 			row.Status = "timeout"
 		case err != nil:
-			return Table1Row{}, err
+			return nil, err
 		default:
 			row.Lin = lin
 			row.LinDRC = len(drc.Check(lin.Layout))
 		}
-		return row, nil
-	})
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 // FormatTable1 renders rows in the paper's Table I shape.
@@ -355,20 +342,6 @@ type Fig7Row struct {
 	Iterations int     `json:"iterations"`
 }
 
-// RunFig7 delegates to RunMetrics (one routing run per circuit shared by
-// all metric experiments).
-func RunFig7(names []string) ([]Fig7Row, error) {
-	ms, err := RunMetrics(names)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig7Row, len(ms))
-	for i, m := range ms {
-		rows[i] = m.Fig7
-	}
-	return rows, nil
-}
-
 // AblationRow is one configuration's outcome on one circuit.
 type AblationRow struct {
 	Config      string  `json:"config"`
@@ -397,39 +370,38 @@ func Ablations() []struct {
 	}
 }
 
-// RunAblations routes the named circuits under every ablation. The
-// (circuit, ablation) jobs flatten into one batch so up to Parallel of
-// them run concurrently; rows come back grouped by circuit, then
-// ablation, exactly as the sequential nesting produced them.
+// RunAblations routes the named circuits under every ablation; rows come
+// back grouped by circuit, then ablation.
 func RunAblations(names []string) ([]AblationRow, error) {
-	abs := Ablations()
-	return par.Map(context.Background(), Parallel, len(names)*len(abs), func(k int) (AblationRow, error) {
-		name := names[k/len(abs)]
-		ab := abs[k%len(abs)]
+	var rows []AblationRow
+	for _, name := range names {
 		spec, err := design.DenseSpec(name)
 		if err != nil {
-			return AblationRow{}, err
+			return nil, err
 		}
-		d, err := design.Generate(spec)
-		if err != nil {
-			return AblationRow{}, err
+		for _, ab := range Ablations() {
+			d, err := design.Generate(spec)
+			if err != nil {
+				return nil, err
+			}
+			opts := routerOptions()
+			ab.Mut(&opts)
+			r, err := router.Route(d, opts)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, AblationRow{
+				Config:      ab.Label,
+				Name:        name,
+				Routability: r.Routability,
+				Wirelength:  r.Wirelength,
+				Concurrent:  r.ConcurrentRouted,
+				DRC:         len(drc.Check(r.Layout)),
+				Seconds:     r.Runtime.Seconds(),
+			})
 		}
-		opts := routerOptions()
-		ab.Mut(&opts)
-		r, err := router.Route(d, opts)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
-			Config:      ab.Label,
-			Name:        name,
-			Routability: r.Routability,
-			Wirelength:  r.Wirelength,
-			Concurrent:  r.ConcurrentRouted,
-			DRC:         len(drc.Check(r.Layout)),
-			Seconds:     r.Runtime.Seconds(),
-		}, nil
-	})
+	}
+	return rows, nil
 }
 
 // QualityRow reports wirelength quality (routed length vs the octilinear
@@ -443,20 +415,6 @@ type QualityRow struct {
 	MaxDetour  float64 `json:"max_detour"`
 }
 
-// RunQuality delegates to RunMetrics (one routing run per circuit shared by
-// all metric experiments).
-func RunQuality(names []string) ([]QualityRow, error) {
-	ms, err := RunMetrics(names)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]QualityRow, len(ms))
-	for i, m := range ms {
-		rows[i] = m.Quality
-	}
-	return rows, nil
-}
-
 // GraphSizeRow compares the octagonal-tile routing graph's size against an
 // equivalent uniform-lattice graph on one circuit — the resource-modeling
 // argument behind the paper's tile model.
@@ -467,40 +425,12 @@ type GraphSizeRow struct {
 	Ratio     float64 `json:"ratio"`
 }
 
-// RunGraphSize delegates to RunMetrics (one routing run per circuit shared by
-// all metric experiments).
-func RunGraphSize(names []string) ([]GraphSizeRow, error) {
-	ms, err := RunMetrics(names)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]GraphSizeRow, len(ms))
-	for i, m := range ms {
-		rows[i] = m.Graph
-	}
-	return rows, nil
-}
-
 // LPIterRow reports stage-5 convergence per circuit (Section III-E-4: the
 // paper observes ≤ 50 iterations on its largest benchmark).
 type LPIterRow struct {
 	Name       string `json:"circuit"`
 	Iterations int    `json:"iterations"`
 	Components int    `json:"components"`
-}
-
-// RunLPIters delegates to RunMetrics (one routing run per circuit shared by
-// all metric experiments).
-func RunLPIters(names []string) ([]LPIterRow, error) {
-	ms, err := RunMetrics(names)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]LPIterRow, len(ms))
-	for i, m := range ms {
-		rows[i] = m.LPIter
-	}
-	return rows, nil
 }
 
 // MetricsRow bundles the per-circuit measurements that share one routing
@@ -515,22 +445,21 @@ type MetricsRow struct {
 }
 
 // RunMetrics routes each named circuit once and extracts every shared
-// metric from that single run. Up to Parallel circuits run concurrently;
-// rows come back in input order.
+// metric from that single run; rows come back in input order.
 func RunMetrics(names []string) ([]MetricsRow, error) {
-	return par.Map(context.Background(), Parallel, len(names), func(i int) (MetricsRow, error) {
-		name := names[i]
+	rows := make([]MetricsRow, len(names))
+	for i, name := range names {
 		spec, err := design.DenseSpec(name)
 		if err != nil {
-			return MetricsRow{}, err
+			return nil, err
 		}
 		d, err := design.Generate(spec)
 		if err != nil {
-			return MetricsRow{}, err
+			return nil, err
 		}
 		r, err := router.Route(d, routerOptions())
 		if err != nil {
-			return MetricsRow{}, err
+			return nil, err
 		}
 		red := 0.0
 		if r.WirelengthBeforeLP > 0 {
@@ -544,7 +473,7 @@ func RunMetrics(names []string) ([]MetricsRow, error) {
 			ratio = float64(r.TileCount) / float64(grid)
 		}
 		q := r.Layout.QualityStats()
-		return MetricsRow{
+		rows[i] = MetricsRow{
 			Name: name,
 			Fig7: Fig7Row{
 				Name: name, Before: r.WirelengthBeforeLP, After: r.Wirelength,
@@ -556,6 +485,7 @@ func RunMetrics(names []string) ([]MetricsRow, error) {
 				Name: name, LowerBound: q.LowerBound, Actual: q.Actual,
 				MeanDetour: q.MeanDetour, P95: q.P95Detour, MaxDetour: q.MaxDetour,
 			},
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }

@@ -2,9 +2,20 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// dense1Metrics routes dense1 once for every test that reads its
+// RunMetrics row.
+var dense1Metrics = sync.OnceValues(func() (MetricsRow, error) {
+	rows, err := RunMetrics([]string{"dense1"})
+	if err != nil {
+		return MetricsRow{}, err
+	}
+	return rows[0], nil
+})
 
 func TestRunTable1Dense1(t *testing.T) {
 	rows, err := RunTable1([]string{"dense1"})
@@ -68,11 +79,11 @@ func TestRunFig5(t *testing.T) {
 }
 
 func TestRunFig7Dense1(t *testing.T) {
-	rows, err := RunFig7([]string{"dense1"})
+	m, err := dense1Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
+	r := m.Fig7
 	t.Logf("fig7 dense1: %.0f -> %.0f (%.2f%%), %d iterations", r.Before, r.After, r.Reduction, r.Iterations)
 	if r.After > r.Before {
 		t.Errorf("LP increased wirelength: %.0f -> %.0f", r.Before, r.After)
@@ -83,12 +94,12 @@ func TestRunFig7Dense1(t *testing.T) {
 }
 
 func TestRunLPItersBounded(t *testing.T) {
-	rows, err := RunLPIters([]string{"dense1"})
+	m, err := dense1Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Iterations > 50 {
-		t.Errorf("LP iterations = %d, paper bound is ~50", rows[0].Iterations)
+	if m.LPIter.Iterations > 50 {
+		t.Errorf("LP iterations = %d, paper bound is ~50", m.LPIter.Iterations)
 	}
 }
 
@@ -123,11 +134,11 @@ func TestRunAblationsDense1(t *testing.T) {
 }
 
 func TestRunGraphSize(t *testing.T) {
-	rows, err := RunGraphSize([]string{"dense1"})
+	m, err := dense1Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
+	r := m.Graph
 	t.Logf("graph size: %d tiles vs %d grid nodes (ratio %.3f)", r.TileNodes, r.GridNodes, r.Ratio)
 	if r.TileNodes <= 0 || r.GridNodes <= 0 {
 		t.Fatal("empty graph sizes")

@@ -47,9 +47,9 @@ type PortfolioRow struct {
 
 // RunPortfolio routes each named circuit three times — the single-policy
 // baseline, the K-policy portfolio, and a solo replay of the race's
-// winner for the byte-identity check. Runs are never overlapped
-// (Parallel is ignored): the solo-vs-portfolio seconds are the
-// experiment's cost axis and overlapping would corrupt them.
+// winner for the byte-identity check. Runs are never overlapped: the
+// solo-vs-portfolio seconds are the experiment's cost axis and
+// overlapping would corrupt them.
 func RunPortfolio(names []string, k int) ([]PortfolioRow, error) {
 	var rows []PortfolioRow
 	for _, name := range names {

@@ -30,8 +30,8 @@ type ScalingRow struct {
 // RunScaling routes each named circuit once per worker count, in order,
 // and reports wall time plus the determinism check against the first
 // count's run (pass 1 first to compare against the sequential path).
-// Runs are never overlapped (Parallel is ignored here): overlapping
-// them would corrupt the timings the experiment exists to measure.
+// Runs are never overlapped: overlapping them would corrupt the timings
+// the experiment exists to measure.
 func RunScaling(names []string, workerCounts []int) ([]ScalingRow, error) {
 	var rows []ScalingRow
 	for _, name := range names {

@@ -288,6 +288,13 @@ func TestDecodeMalformed(t *testing.T) {
 	_, err = DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","order_portfolio":-1}`))
 	wantErr(t, err, KindValidate, "order_portfolio")
 
+	// Malformed options: a negative via cost (it would make vias cheaper
+	// than wire) or LP iteration bound (it would skip stage 5 silently).
+	_, err = DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","via_cost":-100}`))
+	wantErr(t, err, KindValidate, "via_cost")
+	_, err = DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","lp_max_iters":-1}`))
+	wantErr(t, err, KindValidate, "lp_max_iters")
+
 	// Result against the wrong design.
 	d := genBench(t, "dense1")
 	res, rerr := router.Route(d, router.DefaultOptions())

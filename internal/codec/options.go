@@ -91,6 +91,9 @@ func optionsFromDoc(doc optionsDoc) (router.Options, error) {
 		opts.Pitch = *doc.Pitch
 	}
 	if doc.ViaCost != nil {
+		if *doc.ViaCost < 0 {
+			return opts, invalidf(OptionsSchema, "via_cost", "must be >= 0, got %g", *doc.ViaCost)
+		}
 		opts.ViaCost = *doc.ViaCost
 	}
 	if doc.UseWeights != nil {
@@ -109,6 +112,9 @@ func optionsFromDoc(doc optionsDoc) (router.Options, error) {
 		opts.PeripheralDist = *doc.PeripheralDist
 	}
 	if doc.LPMaxIters != nil {
+		if *doc.LPMaxIters < 0 {
+			return opts, invalidf(OptionsSchema, "lp_max_iters", "must be >= 0, got %d", *doc.LPMaxIters)
+		}
 		opts.LPMaxIters = *doc.LPMaxIters
 	}
 	if doc.RipUpRounds != nil {

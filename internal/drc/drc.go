@@ -38,22 +38,15 @@ type item struct {
 }
 
 // Check validates the layout and returns every violation found. An empty
-// result means the layout is clean. It is CheckWorkers with the default
-// worker count (GOMAXPROCS); the violation list is identical at every
-// worker count.
+// result means the layout is clean. The spacing/crossing pair scan runs on
+// GOMAXPROCS workers; every sub-check is index-addressed — item i scans
+// only pairs (i, j>i) from its own spatial-hash buckets — so the
+// violations come back in the same deterministic (layer, item, partner)
+// order at every worker count.
 func Check(l *layout.Layout) []Violation {
-	return CheckWorkers(l, 0)
-}
-
-// CheckWorkers is Check with an explicit worker-pool bound for the
-// spacing/crossing pair scan (0 = GOMAXPROCS, 1 = sequential). Every
-// sub-check is index-addressed — item i scans only pairs (i, j>i) from
-// its own spatial-hash buckets — so the violations come back in the same
-// deterministic (layer, item, partner) order regardless of workers.
-func CheckWorkers(l *layout.Layout, workers int) []Violation {
 	var out []Violation
 	out = append(out, checkGeometry(l)...)
-	out = append(out, checkSpacingAndCrossing(l, workers)...)
+	out = append(out, checkSpacingAndCrossing(l)...)
 	out = append(out, checkConnectivity(l)...)
 	return out
 }
@@ -191,7 +184,7 @@ func padOwners(d *design.Design) map[[2]int]int {
 // That makes the violation order deterministic — the seed iterated the
 // bucket map itself, so the order changed run to run — and lets items fan
 // out across workers, since item i writes only its own violation slot.
-func checkSpacingAndCrossing(l *layout.Layout, workers int) []Violation {
+func checkSpacingAndCrossing(l *layout.Layout) []Violation {
 	var out []Violation
 	s := float64(l.D.Rules.Spacing)
 	perLayer := collectItems(l)
@@ -213,7 +206,7 @@ func checkSpacingAndCrossing(l *layout.Layout, workers int) []Violation {
 				}
 			}
 		}
-		perItem, _ := par.Map(context.Background(), workers, len(items), func(i int) ([]Violation, error) {
+		perItem, _ := par.Map(context.Background(), 0, len(items), func(i int) ([]Violation, error) {
 			var viols []Violation
 			it1 := &items[i]
 			b := it1.bbox.Expand(l.D.Rules.Spacing)

@@ -57,13 +57,9 @@ func MaxPlanarSubset(m int, chords []Chord) ([]int, float64) {
 	return picked, w
 }
 
-// MaxPlanarSubsetCtx is MaxPlanarSubset with cancellation: the O(m²) DP
+// maxPlanarSubset is MaxPlanarSubset with cancellation: the O(m²) DP
 // polls ctx once per outer arc-length iteration (an O(m) stride) and
 // returns ctx's error when it fires. A nil ctx is never polled.
-func MaxPlanarSubsetCtx(ctx context.Context, m int, chords []Chord) ([]int, float64, error) {
-	return maxPlanarSubset(ctx, m, chords)
-}
-
 func maxPlanarSubset(ctx context.Context, m int, chords []Chord) ([]int, float64, error) {
 	endAt := make([]int, m) // chord index whose higher endpoint is j, or −1
 	for i := range endAt {
@@ -161,17 +157,12 @@ func maxPlanarSubset(ctx context.Context, m int, chords []Chord) ([]int, float64
 	return picked, best[idx(0, m-1)], nil
 }
 
-// MaxPlanarSubsetTraced runs MaxPlanarSubset and, when the tracer is
-// enabled, emits an "mpsc.select" event carrying the chords considered,
-// the chords picked and the selected weight, plus any extra attributes
-// the caller tags on (e.g. the wire layer being assigned).
-func MaxPlanarSubsetTraced(m int, chords []Chord, tr obs.Tracer, extra ...obs.Attr) ([]int, float64) {
-	picked, weight, _ := MaxPlanarSubsetTracedCtx(nil, m, chords, tr, extra...)
-	return picked, weight
-}
-
-// MaxPlanarSubsetTracedCtx is MaxPlanarSubsetTraced with cancellation; on
-// a cancelled DP no event is emitted and ctx's error is returned.
+// MaxPlanarSubsetTracedCtx runs MaxPlanarSubset with cancellation and,
+// when the tracer is enabled, emits an "mpsc.select" event carrying the
+// chords considered, the chords picked and the selected weight, plus any
+// extra attributes the caller tags on (e.g. the wire layer being
+// assigned). The DP polls ctx once per outer arc-length iteration; on a
+// cancelled DP no event is emitted and ctx's error is returned.
 func MaxPlanarSubsetTracedCtx(ctx context.Context, m int, chords []Chord, tr obs.Tracer, extra ...obs.Attr) ([]int, float64, error) {
 	picked, weight, err := maxPlanarSubset(ctx, m, chords)
 	if err != nil {

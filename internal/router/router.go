@@ -183,6 +183,12 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	if opts.OrderPolicy < 0 || opts.OrderPolicy >= MaxPortfolio {
 		return nil, nil, fmt.Errorf("router: order policy %d out of range [0, %d)", opts.OrderPolicy, MaxPortfolio)
 	}
+	// A global cell narrower than one lattice pitch holds no track; the
+	// upper bound also keeps stage 3's per-cell tile tables no larger than
+	// the lattice.
+	if maxCells := min(d.Outline.W(), d.Outline.H())/opts.Pitch + 1; opts.GlobalCells < 1 || int64(opts.GlobalCells) > maxCells {
+		return nil, nil, fmt.Errorf("router: global cells %d out of range [1, %d], the lattice nodes on the outline's short axis", opts.GlobalCells, maxCells)
+	}
 
 	tr := obs.Or(opts.Tracer)
 	lay := layout.New(d)
@@ -235,10 +241,8 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	// per-cell builds are pure functions of the seeded blockers, and the
 	// stage ends by counting tiles in every cell anyway, so the warm-up
 	// does no extra work — it only moves it onto parallel workers.
-	if par.Workers(opts.Workers) > 1 {
-		if err := model.BuildAll(ctx, opts.Workers); err != nil {
-			return nil, nil, fmt.Errorf("router: %w", err)
-		}
+	if err := model.BuildAll(ctx, opts.Workers); err != nil {
+		return nil, nil, fmt.Errorf("router: %w", err)
 	}
 	var sites []ctile.ViaSite
 	if opts.EnableVias {
@@ -327,12 +331,8 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 func concurrentRoute(ctx context.Context, d *design.Design, a *fanout.Analysis, la *lattice.Lattice, lay *layout.Layout, opts Options, tr obs.Tracer) (int, error) {
 	consumed := map[int]bool{}
 	routed := 0
-	weights := opts.Weights
-	if !opts.UseWeights {
-		weights = fanout.WeightParams{Alpha: 0, Beta: 0, Gamma: 0, Delta: 2}
-	}
 	for l := 0; l < d.WireLayers; l++ {
-		chords := a.Chords(weights, consumed)
+		chords := a.Chords(opts.Weights, consumed)
 		if !opts.UseWeights {
 			for i := range chords {
 				chords[i].W = 1
@@ -362,42 +362,28 @@ func concurrentRoute(ctx context.Context, d *design.Design, a *fanout.Analysis, 
 			return chords[picked[i]].Tag < chords[picked[j]].Tag
 		})
 		// Commit the picked nets in order, prebuilding their region masks on
-		// the worker pool in bounded batches ahead of the commit loop. Each
-		// mask depends only on static design geometry and the net's own
-		// search window — never on earlier commits — so prebuilding cannot
-		// change any route; batching (a few masks per worker) caps the
-		// memory held in flight. With one worker the masks are built inline
-		// in the loop, the path this one must stay byte-identical to.
-		workers := par.Workers(opts.Workers)
-		batch := 1
-		if workers > 1 {
-			batch = 4 * workers
-		}
+		// the worker pool in bounded batches ahead of the commit loop (one
+		// worker builds them inline). Each mask depends only on static
+		// design geometry and the net's own search window — never on
+		// earlier commits — so prebuilding cannot change any route;
+		// batching (a few masks per worker) caps the memory held in flight.
+		batch := 4 * par.Workers(opts.Workers)
 		for lo := 0; lo < len(picked); lo += batch {
 			hi := min(lo+batch, len(picked))
-			var masks []*lattice.RegionMask
-			if workers > 1 {
-				var err error
-				masks, err = par.Map(ctx, workers, hi-lo, func(k int) (*lattice.RegionMask, error) {
-					cand := a.Candidates[chords[picked[lo+k]].Tag]
-					n := d.Nets[cand.Net]
-					return concurrentMask(d, la, d.IOPads[n.P1.Index], d.IOPads[n.P2.Index], l), nil
-				})
-				if err != nil {
-					return routed, fmt.Errorf("router: %w", err)
-				}
+			masks, err := par.Map(ctx, opts.Workers, hi-lo, func(k int) (*lattice.RegionMask, error) {
+				cand := a.Candidates[chords[picked[lo+k]].Tag]
+				n := d.Nets[cand.Net]
+				return concurrentMask(d, la, d.IOPads[n.P1.Index], d.IOPads[n.P2.Index], l), nil
+			})
+			if err != nil {
+				return routed, fmt.Errorf("router: %w", err)
 			}
 			for k := lo; k < hi; k++ {
 				if err := ctxErr(ctx); err != nil {
 					return routed, err
 				}
 				ci := chords[picked[k]].Tag
-				cand := a.Candidates[ci]
-				var region *lattice.RegionMask
-				if masks != nil {
-					region = masks[k-lo]
-				}
-				if tryConcurrentNet(ctx, d, la, lay, cand, l, region, opts, tr) {
+				if tryConcurrentNet(ctx, d, la, lay, a.Candidates[ci], l, masks[k-lo], opts, tr) {
 					consumed[ci] = true
 					routed++
 				}
@@ -419,8 +405,8 @@ func chordSpan(chords []mpsc.Chord, idx int) int {
 
 // tryConcurrentNet routes one MPSC-selected net on wire layer l: via
 // stacks at the pads when l > 0, then a single-layer wire through the
-// fan-out region (plus the net's own fan-in regions). region, when
-// non-nil, is the net's prebuilt concurrentMask; nil builds it here.
+// fan-out region (plus the net's own fan-in regions). region is the
+// net's concurrentMask.
 func tryConcurrentNet(ctx context.Context, d *design.Design, la *lattice.Lattice, lay *layout.Layout, cand fanout.Candidate, l int, region *lattice.RegionMask, opts Options, tr obs.Tracer) bool {
 	net := cand.Net
 	n := d.Nets[net]
@@ -433,9 +419,6 @@ func tryConcurrentNet(ctx context.Context, d *design.Design, la *lattice.Lattice
 	}
 	mask := make([]bool, d.WireLayers)
 	mask[l] = true
-	if region == nil {
-		region = concurrentMask(d, la, p1, p2, l)
-	}
 	var st lattice.SearchStats
 	req := lattice.Request{
 		Net: net, From: p1.Center, To: p2.Center,

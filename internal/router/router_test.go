@@ -6,6 +6,7 @@ import (
 	"rdlroute/internal/design"
 	"rdlroute/internal/drc"
 	"rdlroute/internal/geom"
+	"rdlroute/internal/obs"
 )
 
 // smallDesign builds a 2-chip instance with 8 facing peripheral nets plus
@@ -59,6 +60,30 @@ func smallDesign() *design.Design {
 		P2: design.PadRef{Kind: design.IOKind, Index: p2},
 	})
 	return d
+}
+
+// TestRouteRejectsOversizedGlobalCells: a global-cell grid finer than the
+// lattice, or a negative one, fails before stage 1. Stage 3 sizes its tile
+// tables by cells², so 100000 cells per axis would exhaust memory in
+// ctile.NewModel, a runtime abort no caller can recover from.
+func TestRouteRejectsOversizedGlobalCells(t *testing.T) {
+	d := genDense1(t)
+	maxCells := int(min(d.Outline.W(), d.Outline.H())/design.Grid + 1)
+	if maxCells < 30 {
+		t.Fatalf("dense1 short axis has %d lattice nodes, below the default 30 cells", maxCells)
+	}
+	for _, cells := range []int{maxCells + 1, 100000, -5} {
+		opts := DefaultOptions()
+		opts.GlobalCells = cells
+		c := obs.NewCollector()
+		opts.Tracer = c
+		if _, err := Route(d, opts); err == nil {
+			t.Errorf("GlobalCells %d accepted", cells)
+		}
+		if spans := c.Snapshot().Spans; len(spans) != 0 {
+			t.Errorf("GlobalCells %d: stages ran before the rejection: %v", cells, spans)
+		}
+	}
 }
 
 func TestRouteSmallDesign(t *testing.T) {
@@ -148,13 +173,6 @@ func TestRouteDense1(t *testing.T) {
 	if vs := drc.Check(res.Layout); len(vs) != 0 {
 		t.Errorf("dense1: %d DRC violations, first: %v", len(vs), vs[0])
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestRouteExtendedFormulation(t *testing.T) {

@@ -137,6 +137,40 @@ func TestDeadlineAbortsSlowRoute(t *testing.T) {
 	}
 }
 
+// TestOversizedGlobalCellsFailsJob: an options document whose global-cell
+// grid is finer than the design's lattice fails its job before stage 1,
+// and the next job on the server completes. Stage 3 sizes its tile tables
+// by cells²; running out of memory there aborts the whole process, which
+// no recover in the job runner can catch.
+func TestOversizedGlobalCellsFailsJob(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer shutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	submit := func(body string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jv jobView
+		decodeBody(t, resp, &jv)
+		if resp.StatusCode != http.StatusAccepted || jv.ID == "" {
+			t.Fatalf("submit: status %d view %+v", resp.StatusCode, jv)
+		}
+		return jv.ID
+	}
+	bad := submit(`{"schema":"rdl-job/v1","benchmark":"dense1","options":{"schema":"rdl-options/v1","global_cells":100000}}`)
+	if jv := waitState(t, ts.URL, bad, JobFailed, 30*time.Second); !strings.Contains(jv.Error, "global cells") {
+		t.Fatalf("oversized global cells: error %q", jv.Error)
+	}
+	good := submit(`{"schema":"rdl-job/v1","benchmark":"dense1","options":{"schema":"rdl-options/v1"}}`)
+	if jv := waitState(t, ts.URL, good, JobDone, 30*time.Second); jv.Result == nil {
+		t.Fatal("follow-up job has no result document")
+	}
+}
+
 // TestConcurrentDeterminism is the determinism gate: four workers routing
 // dense1 concurrently must produce results bit-identical to a sequential
 // run.

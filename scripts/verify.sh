@@ -9,17 +9,27 @@ cd "$(dirname "$0")/.."
 
 echo "== go build ./... =="
 go build ./...
+echo "== gofmt -l . =="
+# Fails when any Go file is not gofmt-formatted, listing the files.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt needed on:"
+  echo "$unformatted"
+  exit 1
+fi
 echo "== go vet ./... =="
 go vet ./...
-echo "== regression gate (lattice/router/geom) =="
+echo "== regression gate (lattice/router/geom/lpopt) =="
 # Fast fail on the targeted regression tests before the full sweep: the
 # rip-up lattice threading, the int32 state-space bound, edge claims
 # against the reference distance test, goal-side refutation against the
 # reference A*, the Oct8.Center containment property, the T-junction
-# connectivity union and the cancellation fingerprint gate.
+# connectivity union, the cancellation fingerprint gate, the global-cell
+# bound that keeps stage 3's tables within the lattice, and stage 5
+# leaving mid-path via centers where stage 4 put them.
 go test -race -run \
-  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption' \
-  ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/
+  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption|TestRouteRejectsOversizedGlobalCells|TestOptimizeKeepsViasFixed' \
+  ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/ ./internal/lpopt/
 echo "== lattice microbenchmarks: one iteration each =="
 # Keeps BenchmarkNew (pad claims), BenchmarkCommit (wire and via claims)
 # and BenchmarkRoute (a refuted and a successful search) compiling and
