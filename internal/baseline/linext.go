@@ -28,7 +28,6 @@ import (
 
 // Options tune the baseline.
 type Options struct {
-	Pitch   int64
 	ViaCost float64
 
 	// Tracer, when non-nil and enabled, receives the baseline's stage
@@ -40,7 +39,7 @@ type Options struct {
 
 // DefaultOptions returns the configuration used in the benchmark harness.
 func DefaultOptions() Options {
-	return Options{Pitch: design.Grid}
+	return Options{}
 }
 
 // Result mirrors the router's metrics for the baseline flow.
@@ -68,11 +67,8 @@ func RouteContext(ctx context.Context, d *design.Design, opts Options) (*Result,
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Pitch == 0 {
-		opts.Pitch = design.Grid
-	}
 	tr := obs.Or(opts.Tracer)
-	la, err := lattice.New(d, opts.Pitch)
+	la, err := lattice.New(d, design.Grid)
 	if err != nil {
 		return nil, err
 	}

@@ -162,36 +162,40 @@ func TestOptionsRoundTrip(t *testing.T) {
 }
 
 // TestOptionsRemovedKeyIsNoOp pins the versioning rule for removed
-// mechanisms: speculative stage 4 is gone, so its "speculative" key is no
-// longer encoded, and documents that still carry it decode exactly as if
-// it were absent.
+// mechanisms: speculative stage 4 and the settable lattice pitch are
+// gone, so their "speculative" and "pitch" keys are no longer encoded,
+// and documents that still carry them decode exactly as if they were
+// absent — including a pitch the old decoder rejected.
 func TestOptionsRemovedKeyIsNoOp(t *testing.T) {
-	got, err := DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","speculative":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != router.DefaultOptions() {
-		t.Fatalf("speculative-only doc != defaults: %+v", got)
-	}
-	with, err := DecodeOptions(strings.NewReader(
-		`{"schema":"rdl-options/v1","net_order":"congested","speculative":true,"ripup_rounds":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := DecodeOptions(strings.NewReader(
-		`{"schema":"rdl-options/v1","net_order":"congested","ripup_rounds":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with != without {
-		t.Fatalf("speculative key changed the decode:\n with %+v\n without %+v", with, without)
-	}
-	var buf bytes.Buffer
-	if err := EncodeOptions(&buf, with); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "speculative") {
-		t.Fatalf("encoding still writes the removed key:\n%s", buf.String())
+	for _, removed := range []struct{ key, val string }{{"speculative", "true"}, {"pitch", "9"}, {"pitch", "-5"}} {
+		key, kv := removed.key, `"`+removed.key+`":`+removed.val
+		got, err := DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1",` + kv + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != router.DefaultOptions() {
+			t.Fatalf("%s-only doc != defaults: %+v", key, got)
+		}
+		with, err := DecodeOptions(strings.NewReader(
+			`{"schema":"rdl-options/v1","net_order":"congested",` + kv + `,"ripup_rounds":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := DecodeOptions(strings.NewReader(
+			`{"schema":"rdl-options/v1","net_order":"congested","ripup_rounds":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if with != without {
+			t.Fatalf("%s key changed the decode:\n with %+v\n without %+v", key, with, without)
+		}
+		var buf bytes.Buffer
+		if err := EncodeOptions(&buf, with); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(buf.String(), `"`+key+`"`) {
+			t.Fatalf("encoding still writes the removed key %q:\n%s", key, buf.String())
+		}
 	}
 }
 

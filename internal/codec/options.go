@@ -11,13 +11,12 @@ import (
 // fields keep their router.DefaultOptions value, so an empty document
 // decodes to the paper's experimental configuration. Booleans use
 // pointers to distinguish "absent" from "false". Unknown keys are
-// ignored, so the key of a removed option ("speculative") still decodes,
-// as a no-op.
+// ignored, so the key of a removed option ("speculative", "pitch") still
+// decodes, as a no-op.
 type optionsDoc struct {
 	Schema         string      `json:"schema"`
 	Weights        *weightsDoc `json:"weights,omitempty"`
 	GlobalCells    *int        `json:"global_cells,omitempty"`
-	Pitch          *int64      `json:"pitch,omitempty"`
 	ViaCost        *float64    `json:"via_cost,omitempty"`
 	UseWeights     *bool       `json:"use_weights,omitempty"`
 	EnableLP       *bool       `json:"enable_lp,omitempty"`
@@ -53,7 +52,6 @@ func EncodeOptions(w io.Writer, opts router.Options) error {
 			Gamma: opts.Weights.Gamma, Delta: opts.Weights.Delta,
 		},
 		GlobalCells:    &opts.GlobalCells,
-		Pitch:          &opts.Pitch,
 		ViaCost:        &opts.ViaCost,
 		UseWeights:     &opts.UseWeights,
 		EnableLP:       &opts.EnableLP,
@@ -83,12 +81,6 @@ func optionsFromDoc(doc optionsDoc) (router.Options, error) {
 			return opts, invalidf(OptionsSchema, "global_cells", "must be >= 1, got %d", *doc.GlobalCells)
 		}
 		opts.GlobalCells = *doc.GlobalCells
-	}
-	if doc.Pitch != nil {
-		if *doc.Pitch < 1 {
-			return opts, invalidf(OptionsSchema, "pitch", "must be >= 1, got %d", *doc.Pitch)
-		}
-		opts.Pitch = *doc.Pitch
 	}
 	if doc.ViaCost != nil {
 		if *doc.ViaCost < 0 {

@@ -1,7 +1,6 @@
 package fanout
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -9,7 +8,6 @@ import (
 	"rdlroute/internal/geom"
 	"rdlroute/internal/graphs"
 	"rdlroute/internal/mpsc"
-	"rdlroute/internal/par"
 )
 
 // Candidate is a net eligible for fan-out concurrent routing: an
@@ -75,33 +73,17 @@ func Analyze(d *design.Design, cfg Config) (*Analysis, error) {
 	}
 
 	// Fan-out grid graph: vertices are merged grids, edges join grids with
-	// a shared border; weight is center-to-center distance. The O(n²)
-	// border scan fans out per source grid; each index collects its own
-	// edge list so the graph and capacity map are filled in the same
-	// (i, j) order as the sequential double loop.
-	type borderEdge struct {
-		j   int
-		w   float64
-		cap float64
-	}
-	scan, _ := par.Map(context.Background(), cfg.Workers, len(grids), func(i int) ([]borderEdge, error) {
-		var out []borderEdge
+	// a shared border; weight is center-to-center distance.
+	g := graphs.NewGraph(len(grids))
+	capByEdge := make(map[int64]float64)
+	for i := range grids {
 		for j := i + 1; j < len(grids); j++ {
 			b := gridBorder(grids[i].Box, grids[j].Box)
 			if b <= 0 {
 				continue
 			}
-			w := geom.Euclid(grids[i].Box.Center(), grids[j].Box.Center())
-			out = append(out, borderEdge{j: j, w: w, cap: float64(b / cfg.TrackPitch)})
-		}
-		return out, nil
-	})
-	g := graphs.NewGraph(len(grids))
-	capByEdge := make(map[int64]float64)
-	for i, edges := range scan {
-		for _, e := range edges {
-			g.AddEdge(i, e.j, e.w)
-			capByEdge[edgeKey(i, e.j)] = e.cap
+			g.AddEdge(i, j, geom.Euclid(grids[i].Box.Center(), grids[j].Box.Center()))
+			capByEdge[edgeKey(i, j)] = float64(b / cfg.TrackPitch)
 		}
 	}
 	tree := graphs.PrimMST(g)
@@ -117,36 +99,28 @@ func Analyze(d *design.Design, cfg Config) (*Analysis, error) {
 	}
 
 	// Net candidates: inter-chip nets with both pads peripheral and both
-	// access grids in the same tree component. Each net's MST path walk is
-	// independent (Tree.Path allocates per call), so the construction fans
-	// out per net; nil slots are dropped in net order afterwards.
-	built, _ := par.Map(context.Background(), cfg.Workers, len(d.Nets), func(ni int) (*Candidate, error) {
-		n := d.Nets[ni]
+	// access grids in the same tree component.
+	for ni, n := range d.Nets {
 		if !n.InterChip() {
-			return nil, nil
+			continue
 		}
 		ap1, ok1 := access[n.P1.Index]
 		ap2, ok2 := access[n.P2.Index]
 		if !ok1 || !ok2 {
-			return nil, nil
+			continue
 		}
 		path := tree.Path(ap1.Grid, ap2.Grid)
 		if path == nil {
-			return nil, nil
+			continue
 		}
-		c := &Candidate{Net: ni, AP1: ap1, AP2: ap2, Path: path}
 		direct := geom.OctDist(ap1.Point, ap2.Point)
-		plen := pathLen(a, ap1, ap2, path)
 		if direct < 1 {
 			direct = 1
 		}
-		c.DetourRate = plen / direct
-		return c, nil
-	})
-	for _, c := range built {
-		if c != nil {
-			a.Candidates = append(a.Candidates, *c)
-		}
+		a.Candidates = append(a.Candidates, Candidate{
+			Net: ni, AP1: ap1, AP2: ap2, Path: path,
+			DetourRate: pathLen(a, ap1, ap2, path) / direct,
+		})
 	}
 
 	a.buildCircle()
@@ -199,9 +173,7 @@ func (a *Analysis) RecomputeCongestion(skip map[int]bool) {
 		}
 		return d / capE
 	}
-	// Per-candidate scoring only reads dem/cap and writes the candidate's
-	// own FMax/FAvg, so it fans out index-addressed.
-	par.ForEach(context.Background(), a.Cfg.Workers, len(a.Candidates), func(ci int) error {
+	for ci := range a.Candidates {
 		c := &a.Candidates[ci]
 		c.FMax, c.FAvg = 0, 0
 		edges := 0
@@ -216,8 +188,7 @@ func (a *Analysis) RecomputeCongestion(skip map[int]bool) {
 		if edges > 0 {
 			c.FAvg /= float64(edges)
 		}
-		return nil
-	})
+	}
 }
 
 // Chords converts the candidates (excluding the skip set) into weighted

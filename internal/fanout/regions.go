@@ -24,11 +24,6 @@ type Config struct {
 	// convert border lengths into edge capacities. Zero means
 	// WireWidth + Spacing from the design rules.
 	TrackPitch int64
-	// Workers bounds the worker pool the stage's data-parallel loops fan
-	// out on (grid-graph border scan, candidate path construction, the
-	// per-candidate congestion recompute). 0 means GOMAXPROCS, 1 the plain
-	// sequential path; results are identical at every value.
-	Workers int
 }
 
 // DefaultConfig returns the configuration used by the router.

@@ -6,12 +6,12 @@ import (
 	"rdlroute/internal/qa"
 )
 
-// FuzzSimplex drives the revised-vs-dense simplex differential oracle
-// from fuzzed seeds: each seed draws a random LP in the shapes the layout
-// optimizer emits, solves it with both independent implementations, and
-// requires agreement on feasibility status, objectives within tolerance,
-// and that each optimal solution satisfies its own constraints
-// (Problem.CheckFeasible). Seed corpus: testdata/fuzz/FuzzSimplex.
+// FuzzSimplex drives the planted-point check from fuzzed seeds: each seed
+// draws a random LP in the shapes the layout optimizer emits around a
+// feasible point x0, and the simplex must never call it infeasible; an
+// optimal answer must satisfy its own constraints
+// (Problem.CheckFeasible) and cost no more than x0. Seed corpus:
+// testdata/fuzz/FuzzSimplex.
 func FuzzSimplex(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 12345} {
 		f.Add(seed)

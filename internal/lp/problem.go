@@ -100,9 +100,9 @@ type Problem struct {
 	// MaxIters bounds simplex iterations; 0 means an automatic limit
 	// proportional to the problem size.
 	MaxIters int
-	// Check, when non-nil, is polled every checkPollPeriod pivots by both
-	// solvers; a non-nil return aborts the solve with Status Aborted. It is
-	// how a cancelled routing job interrupts a long-running LP cleanly.
+	// Check, when non-nil, is polled every checkPollPeriod pivots; a
+	// non-nil return aborts the solve with Status Aborted. It is how a
+	// cancelled routing job interrupts a long-running LP cleanly.
 	Check func() error
 }
 
@@ -157,8 +157,8 @@ func (p *Problem) AddEQ(terms []Term, rhs float64) { p.AddConstraint(terms, EQ, 
 
 // CheckFeasible verifies that x satisfies every variable bound and every
 // constraint of the problem within eps, returning a descriptive error for
-// the first violation. The QA harness and the fuzz targets use it to hold
-// both simplex implementations to their own problem statements.
+// the first violation. The QA harness and the fuzz target use it to hold
+// the simplex to its own problem statement.
 func (p *Problem) CheckFeasible(x []float64, eps float64) error {
 	if len(x) < len(p.lo) {
 		return fmt.Errorf("lp: solution has %d values for %d vars", len(x), len(p.lo))

@@ -225,15 +225,11 @@ func (st *standard) solve(p *Problem) Solution {
 	if budget < 1000 {
 		budget = 1000
 	}
-	status, it2 := runSimplex(tab, basis, phase2, n, budget, p.Check)
-	if status == IterLimit || status == Aborted {
+	status, _ = runSimplex(tab, basis, phase2, n, budget, p.Check)
+	if status != Optimal {
 		return Solution{Status: status}
 	}
-	if status == Unbounded {
-		return Solution{Status: Unbounded}
-	}
 
-	_ = it2
 	// Extract standard solution.
 	z := make([]float64, total)
 	for i, bi := range basis {
@@ -272,6 +268,13 @@ func (st *standard) solve(p *Problem) Solution {
 func runSimplex(tab [][]float64, basis []int, cost []float64, width, maxIters int, check func() error) (Status, int) {
 	m := len(tab)
 	if m == 0 {
+		// No rows: every column can grow without limit, so any improving
+		// column is an unbounded ray.
+		for j := 0; j < width; j++ {
+			if cost[j] < -epsCost {
+				return Unbounded, 0
+			}
+		}
 		return Optimal, 0
 	}
 	total := len(tab[0]) - 1

@@ -344,3 +344,278 @@ func TestProblemReuseAfterSolve(t *testing.T) {
 		t.Fatalf("second solve: %v %v", s2.Status, s2.X)
 	}
 }
+
+// TestZeroRowLP pins the pricing of an LP with no rows at all (no
+// constraints and no finite upper bound, so the standard form has no
+// tableau rows): an improving column is an unbounded ray, not an optimum
+// at the shift point.
+func TestZeroRowLP(t *testing.T) {
+	p := NewProblem()
+	for _, c := range []float64{-3, 7, -2} {
+		p.SetObj(p.AddFreeVar(), c)
+	}
+	if s := p.Solve(); s.Status != Unbounded {
+		t.Fatalf("min −3x₀ + 7x₁ − 2x₂ over free x: status = %v (x = %v), want unbounded", s.Status, s.X)
+	}
+	// One-sided variables: minimizing toward the open side is unbounded,
+	// toward the finite bound is optimal at it.
+	lower := NewProblem()
+	lower.SetObj(lower.AddVar(-4, math.Inf(1)), -1)
+	if s := lower.Solve(); s.Status != Unbounded {
+		t.Fatalf("min −x over x ≥ −4: status = %v, want unbounded", s.Status)
+	}
+	upper := NewProblem()
+	upper.SetObj(upper.AddVar(math.Inf(-1), 9), 1)
+	if s := upper.Solve(); s.Status != Unbounded {
+		t.Fatalf("min x over x ≤ 9: status = %v, want unbounded", s.Status)
+	}
+	bounded := NewProblem()
+	x := bounded.AddVar(-4, math.Inf(1))
+	y := bounded.AddVar(math.Inf(-1), 9)
+	bounded.AddFreeVar() // zero cost: any value is optimal
+	bounded.SetObj(x, 2)
+	bounded.SetObj(y, -1)
+	s := bounded.Solve()
+	if s.Status != Optimal || !approx(s.X[x], -4, 1e-9) || !approx(s.X[y], 9, 1e-9) || !approx(s.Obj, -17, 1e-9) {
+		t.Fatalf("min 2x − y over x ≥ −4, y ≤ 9, free z: status=%v x=%v obj=%v, want optimal -17", s.Status, s.X, s.Obj)
+	}
+}
+
+// vertexOptimum solves min cᵀx over {x : lo ≤ x ≤ hi, rows} by exact
+// vertex enumeration. Every bound is finite, so the region is a polytope:
+// empty, or with an optimal vertex. A vertex is a feasible point where n
+// linearly independent constraints (rows taken as equalities, or bounds)
+// are tight; equality rows need not be among the n chosen, feasibility
+// holds them. It reports whether any vertex is feasible and the least
+// objective over the feasible ones.
+func vertexOptimum(c, lo, hi []float64, rows [][]float64, ops []Op, rhs []float64) (float64, bool) {
+	n := len(c)
+	// Candidate tight constraints: a·x = b.
+	var cand [][]float64 // each entry: n coefficients then b
+	for i, r := range rows {
+		cand = append(cand, append(append([]float64(nil), r...), rhs[i]))
+	}
+	for v := 0; v < n; v++ {
+		for _, b := range []float64{lo[v], hi[v]} {
+			e := make([]float64, n+1)
+			e[v], e[n] = 1, b
+			cand = append(cand, e)
+		}
+	}
+	const eps = 1e-7
+	feasible := func(x []float64) bool {
+		for v := range x {
+			if x[v] < lo[v]-eps || x[v] > hi[v]+eps {
+				return false
+			}
+		}
+		for i, r := range rows {
+			lhs := 0.0
+			for v, a := range r {
+				lhs += a * x[v]
+			}
+			if (ops[i] == LE && lhs > rhs[i]+eps) || (ops[i] == GE && lhs < rhs[i]-eps) ||
+				(ops[i] == EQ && math.Abs(lhs-rhs[i]) > eps) {
+				return false
+			}
+		}
+		return true
+	}
+	best, found := math.Inf(1), false
+	pick := make([]int, n)
+	var choose func(k, from int)
+	choose = func(k, from int) {
+		if k == n {
+			if x, ok := solveSquare(cand, pick); ok && feasible(x) {
+				obj := 0.0
+				for v := range x {
+					obj += c[v] * x[v]
+				}
+				best, found = math.Min(best, obj), true
+			}
+			return
+		}
+		for i := from; i < len(cand); i++ {
+			pick[k] = i
+			choose(k+1, i+1)
+		}
+	}
+	choose(0, 0)
+	return best, found
+}
+
+// solveSquare solves the n×n system formed by the picked candidate rows
+// by Gaussian elimination with partial pivoting; ok is false when the
+// rows are linearly dependent.
+func solveSquare(cand [][]float64, pick []int) ([]float64, bool) {
+	n := len(pick)
+	a := make([][]float64, n)
+	for i, ci := range pick {
+		a[i] = append([]float64(nil), cand[ci]...)
+	}
+	for col := 0; col < n; col++ {
+		p := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[p][col]) {
+				p = r
+			}
+		}
+		if math.Abs(a[p][col]) < 1e-9 {
+			return nil, false
+		}
+		a[col], a[p] = a[p], a[col]
+		for r := 0; r < n; r++ {
+			if r == col || a[r][col] == 0 {
+				continue
+			}
+			f := a[r][col] / a[col][col]
+			for k := col; k <= n; k++ {
+				a[r][k] -= f * a[col][k]
+			}
+		}
+	}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = a[i][n] / a[i][i]
+	}
+	return x, true
+}
+
+// TestMatchesVertexEnumeration holds Solve to exact answers: on random
+// boxed LPs with 1–4 variables and 0–4 EQ/LE/GE rows of small integer
+// coefficients, the status (optimal or infeasible; a polytope is never
+// unbounded) and the optimal objective must match vertex enumeration.
+func TestMatchesVertexEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var optimal, infeasible int
+	for trial := 0; trial < 10000; trial++ {
+		n := 1 + rng.Intn(4)
+		p := NewProblem()
+		c := make([]float64, n)
+		lo := make([]float64, n)
+		hi := make([]float64, n)
+		for v := range c {
+			lo[v] = float64(rng.Intn(11) - 5)
+			hi[v] = lo[v] + float64(rng.Intn(8))
+			c[v] = float64(rng.Intn(11) - 5)
+			p.SetObj(p.AddVar(lo[v], hi[v]), c[v])
+		}
+		nr := rng.Intn(5)
+		rows := make([][]float64, nr)
+		ops := make([]Op, nr)
+		rhs := make([]float64, nr)
+		for i := range rows {
+			rows[i] = make([]float64, n)
+			var terms []Term
+			for v := range rows[i] {
+				if a := float64(rng.Intn(7) - 3); a != 0 {
+					rows[i][v] = a
+					terms = append(terms, Term{VarID(v), a})
+				}
+			}
+			ops[i] = Op(rng.Intn(3))
+			rhs[i] = float64(rng.Intn(21) - 10)
+			p.AddConstraint(terms, ops[i], rhs[i])
+		}
+		want, feasible := vertexOptimum(c, lo, hi, rows, ops, rhs)
+		s := p.Solve()
+		switch {
+		case !feasible && s.Status != Infeasible:
+			t.Fatalf("trial %d: solver says %v (obj %v), vertex enumeration finds no feasible vertex", trial, s.Status, s.Obj)
+		case feasible && s.Status != Optimal:
+			t.Fatalf("trial %d: solver says %v, vertex enumeration finds optimum %v", trial, s.Status, want)
+		case feasible && math.Abs(s.Obj-want) > 1e-6*(1+math.Abs(want)):
+			t.Fatalf("trial %d: solver optimum %v, vertex enumeration %v", trial, s.Obj, want)
+		}
+		if feasible {
+			optimal++
+		} else {
+			infeasible++
+		}
+	}
+	t.Logf("%d optimal, %d infeasible", optimal, infeasible)
+}
+
+// TestFreeVarChainsAnalytic solves difference chains over free variables
+// (the layout-LP shape): x₀ is anchored at a, xᵢ − xᵢ₋₁ ≥ gᵢ, and the
+// objective Σᵢ≥₁ xᵢ is least on the minimal chain xᵢ = a + g₁ + … + gᵢ,
+// which every feasible point dominates term by term.
+func TestFreeVarChainsAnalytic(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial) + 5000))
+		n := 3 + rng.Intn(4)
+		p := NewProblem()
+		vars := make([]VarID, n)
+		for i := range vars {
+			vars[i] = p.AddFreeVar()
+		}
+		chain := float64(rng.Intn(20))
+		p.AddEQ([]Term{{vars[0], 1}}, chain)
+		want := 0.0
+		for i := 1; i < n; i++ {
+			gap := float64(1 + rng.Intn(10))
+			p.AddGE([]Term{{vars[i], 1}, {vars[i-1], -1}}, gap)
+			p.SetObj(vars[i], 1)
+			chain += gap
+			want += chain
+		}
+		s := p.Solve()
+		if s.Status != Optimal || !approx(s.Obj, want, 1e-6*(1+want)) {
+			t.Fatalf("trial %d: status=%v obj=%v, want optimal %v", trial, s.Status, s.Obj, want)
+		}
+	}
+}
+
+// mediumLP builds a layout-shaped LP: free variables, difference chains
+// and box bounds. It also returns the optimal objective: every cap row
+// allows at least 10 per chain step and every gap is at most 10, so the
+// minimal chain is feasible and, as in TestFreeVarChainsAnalytic, optimal.
+func mediumLP(n int, seed int64) (*Problem, float64) {
+	rng := rand.New(rand.NewSource(seed))
+	p := NewProblem()
+	vars := make([]VarID, n)
+	for i := range vars {
+		vars[i] = p.AddFreeVar()
+	}
+	p.AddEQ([]Term{{vars[0], 1}}, 0)
+	chain, want := 0.0, 0.0
+	for i := 1; i < n; i++ {
+		gap := float64(2 + rng.Intn(9))
+		p.AddGE([]Term{{vars[i], 1}, {vars[i-1], -1}}, gap)
+		p.SetObj(vars[i], 1)
+		chain += gap
+		want += chain
+	}
+	for k := 0; k < n/2; k++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		// x_a ≤ x_b along the ascending chain: always satisfiable, and it
+		// caps how far apart the two may drift.
+		p.AddLE([]Term{{vars[b], 1}, {vars[a], -1}}, float64(10*(b-a)+rng.Intn(40)))
+	}
+	return p, want
+}
+
+func TestMediumLPAnalytic(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		p, want := mediumLP(40, seed)
+		s := p.Solve()
+		if s.Status != Optimal || !approx(s.Obj, want, 1e-6*(1+want)) {
+			t.Fatalf("seed %d: status=%v obj=%v, want optimal %v", seed, s.Status, s.Obj, want)
+		}
+	}
+}
+
+func BenchmarkDenseTableau(b *testing.B) {
+	p, _ := mediumLP(60, 1)
+	for i := 0; i < b.N; i++ {
+		if s := p.Solve(); s.Status != Optimal {
+			b.Fatal(s.Status)
+		}
+	}
+}

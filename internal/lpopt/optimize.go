@@ -30,7 +30,7 @@ type Options struct {
 type Stats struct {
 	Iterations int
 	Components int
-	Reverted   int // components reverted to initial geometry
+	Reverted   int // distinct components reverted to initial geometry (pinned pairs are not counted)
 	Before     float64
 	After      float64
 	Cancelled  bool // Options.Ctx fired; the layout was left untouched

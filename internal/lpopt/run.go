@@ -135,7 +135,6 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 				}
 			}
 			if !m.solveComponent(vars, consBy[rep], objBy[rep], vals) {
-				st.Reverted++
 				reverted[rep] = true
 				for _, v := range vars {
 					vals[v] = m.initVal[v]
@@ -147,6 +146,7 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 
 		m.integerize(vals, reverted, comp)
 		m.resetInconsistentRoutes(vals, dirtyVars)
+		st.Reverted = revertedComponents(reverted, comp)
 
 		// Rounding to even integers preserves the route-internal rows by
 		// construction: monotonicity is enforced at ≥ 4 and rounding moves
@@ -191,7 +191,6 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 					// consistent component around the pins.
 					pinEntity(a)
 					pinEntity(b)
-					st.Reverted++
 				} else {
 					// Already constrained: rounding ate the margin; add
 					// headroom.
@@ -203,7 +202,6 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 			} else if !seed(v.k) {
 				pinEntity(a)
 				pinEntity(b)
-				st.Reverted++
 			}
 			// Whatever happened, both components must re-solve so every
 			// route stays a consistent LP solution.
@@ -223,9 +221,9 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 						reverted[comp.Find(vv)] = true
 					}
 				}
-				st.Reverted++
 			}
 			m.integerize(vals, reverted, comp)
+			st.Reverted = revertedComponents(reverted, comp)
 		}
 	}
 
@@ -243,6 +241,17 @@ func Optimize(l *layout.Layout, opt Options) Stats {
 	return st
 }
 
+// revertedComponents counts the components of comp that hold a reverted
+// representative. Pinned entity pairs are not reverts: their components
+// keep solving around the pins.
+func revertedComponents(reverted map[int]bool, comp *dsu.DSU) int {
+	reps := map[int]bool{}
+	for r := range reverted {
+		reps[comp.Find(r)] = true
+	}
+	return len(reps)
+}
+
 // objValue evaluates the LP objective (without its affine constant) at
 // the current assignment — the wirelength surrogate traced per iteration.
 func objValue(obj []term, vals []float64) float64 {
@@ -253,32 +262,21 @@ func objValue(obj []term, vals []float64) float64 {
 	return v
 }
 
-// Joint-solve limits: components within the dense limits get one dense
-// tableau LP; medium components use the bounded revised simplex (dense
-// basis inverse only); anything larger falls back to per-entity coordinate
-// descent, which scales linearly and preserves feasibility at every step.
+// Joint-solve limits: a component within them gets one dense-tableau LP;
+// a larger one, or one whose joint LP fails, falls back to per-route
+// coordinate descent, which scales linearly and preserves feasibility at
+// every step.
 const (
-	jointMaxVars   = 80
-	jointMaxRows   = 400
-	revisedMaxVars = 400
-	revisedMaxRows = 900
-	descentPass    = 2
+	jointMaxVars = 400
+	jointMaxRows = 900
+	descentPass  = 2
 )
 
 // solveComponent optimizes one independent component in place; returns
 // false when the component must be reverted.
 func (m *model) solveComponent(vars []int, cons []gcons, obj []term, vals []float64) bool {
-	rows := countRows(cons)
-	if len(vars) <= jointMaxVars && rows <= jointMaxRows {
-		if m.solveLP(vars, cons, obj, vals, nil, false) {
-			return true
-		}
-		return m.descend(vars, cons, obj, vals)
-	}
-	if len(vars) <= revisedMaxVars && rows <= revisedMaxRows {
-		if m.solveLP(vars, cons, obj, vals, nil, true) {
-			return true
-		}
+	if len(vars) <= jointMaxVars && countRows(cons) <= jointMaxRows && m.solveLP(vars, cons, obj, vals, nil) {
+		return true
 	}
 	return m.descend(vars, cons, obj, vals)
 }
@@ -294,10 +292,10 @@ func countRows(cons []gcons) int {
 }
 
 // solveLP solves for the given vars jointly. Vars outside the set are
-// substituted at their current values (sub != nil restricts to a sub-LP in
+// substituted at their current values (inSet != nil restricts to a sub-LP in
 // the descent). Single-variable rows fold into bounds; identical
 // multi-variable rows are deduplicated keeping the tightest rhs.
-func (m *model) solveLP(vars []int, cons []gcons, obj []term, vals []float64, inSet map[int]bool, revised bool) bool {
+func (m *model) solveLP(vars []int, cons []gcons, obj []term, vals []float64, inSet map[int]bool) bool {
 	local := make(map[int]lp.VarID, len(vars))
 	p := lp.NewProblem()
 	p.Check = m.check
@@ -424,12 +422,7 @@ func (m *model) solveLP(vars []int, cons []gcons, obj []term, vals []float64, in
 			p.AddEQ(terms, rhs)
 		}
 	}
-	var sol lp.Solution
-	if revised {
-		sol = p.SolveRevised()
-	} else {
-		sol = p.Solve()
-	}
+	sol := p.Solve()
 	if sol.Status != lp.Optimal {
 		return false
 	}
@@ -525,7 +518,7 @@ func (m *model) descend(vars []int, cons []gcons, obj []term, vals []float64) bo
 			for _, v := range gv {
 				set[v] = true
 			}
-			if m.solveLP(gv, consBy[o], objBy[o], vals, set, false) {
+			if m.solveLP(gv, consBy[o], objBy[o], vals, set) {
 				improvedAny = true
 			}
 		}

@@ -104,15 +104,3 @@ func TestWorkerDeterminismRandom(t *testing.T) {
 		assertWorkerInvariant(t, d.Name, d)
 	}
 }
-
-// TestRegressionParallelBatchBoundary pins seed 29: an adversarial
-// design whose preprocessing yields 11 stage-2 candidates — more than
-// one mask-prebuild batch holds at workers=2 (batch 4·workers = 8) — so
-// a well-filled MPSC round drives the commit loop across a batch
-// boundary mid-round. That boundary is where an off-by-one in the
-// batched prefetch (the masks[k-lo] indexing) would silently hand a net
-// its neighbour's region mask and diverge from the sequential path.
-func TestRegressionParallelBatchBoundary(t *testing.T) {
-	d := Generate(29)
-	assertWorkerInvariant(t, d.Name, d)
-}

@@ -18,9 +18,9 @@ type Config struct {
 	// value runs core-only, FullSuite() everything.
 	Suite Suite
 
-	// LPChecks runs this many revised-vs-dense simplex differential
-	// checks on random LPs (seeded from the same base). Negative means
-	// one per design.
+	// LPChecks runs this many planted-point simplex checks
+	// (CheckLPAgreement) on random LPs (seeded from the same base).
+	// Negative means one per design.
 	LPChecks int
 
 	// Shrink minimizes each failing design to a smaller reproducer and
@@ -48,8 +48,8 @@ type designOutcome struct {
 
 // Run generates cfg.N seeded random designs and checks each against the
 // oracle suite; design i uses seed cfg.Seed+i, so any failing design is
-// replayed by a 1-design run at the printed seed. It then runs the LP
-// differential checks. Everything is deterministic in cfg.Seed except the
+// replayed by a 1-design run at the printed seed. It then runs the
+// planted-point LP checks. Everything is deterministic in cfg.Seed except the
 // cancellation oracle's abort point, whose property must hold at any
 // abort point.
 func Run(cfg Config) Report {

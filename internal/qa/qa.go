@@ -4,10 +4,10 @@
 // property harness that routes every generated design through both the
 // concurrent five-stage flow and the Lin-ext baseline and asserts an
 // oracle suite with the design-rule checker as the independent judge,
-// differential gates (flow vs. baseline routability, revised vs. dense
-// simplex), metamorphic gates (translation, net permutation, Y-axis
-// mirroring), and a shrinker that reduces a failing design to a minimal
-// reproducer.
+// a differential gate (flow vs. baseline routability), a planted-point
+// check of the simplex, metamorphic gates (translation, net permutation,
+// Y-axis mirroring), and a shrinker that reduces a failing design to a
+// minimal reproducer.
 //
 // Everything is deterministic in the seed: a failure report always names
 // the design seed, and re-running the harness with that seed replays the

@@ -37,8 +37,8 @@ func sweepSize() int {
 // near-minimum spacing — each routed through the concurrent five-stage
 // flow and the Lin-ext baseline with the full oracle suite (DRC,
 // connectivity, wirelength, codec round-trip, cancellation, differential
-// and metamorphic gates), plus one revised-vs-dense simplex differential
-// check per design.
+// and metamorphic gates), plus one planted-point simplex check per
+// design.
 func TestHarnessSweep(t *testing.T) {
 	n := sweepSize()
 	rep := Run(Config{N: n, Seed: 1, Suite: FullSuite(), LPChecks: -1, Shrink: true})
@@ -127,8 +127,8 @@ func TestFailureReportPrintsSeed(t *testing.T) {
 	}
 }
 
-// TestLPAgreementSweep runs the revised-vs-dense simplex differential
-// gate on its own, over more seeds than the design sweep carries.
+// TestLPAgreementSweep runs the planted-point simplex check on its own,
+// over more seeds than the design sweep carries.
 func TestLPAgreementSweep(t *testing.T) {
 	n := int64(500)
 	if testing.Short() {

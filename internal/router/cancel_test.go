@@ -85,8 +85,8 @@ func TestCancelLeavesNoCorruption(t *testing.T) {
 // TestCancelMidParallelStage is TestCancelLeavesNoCorruption with the
 // worker pool engaged (Workers=8 on dense1) and the deadline swept
 // across the flow's runtime, so cancellation fires inside the parallel
-// fan-outs — preprocessing's border/candidate maps, the stage-2 mask
-// prebuild, the stage-3 tile warm-up — not just at stage checkpoints.
+// fan-outs — the stage-3 tile warm-up, the congested-order overlap count
+// — not just at stage checkpoints.
 // The contract is the same: a clean context error, no result, and a
 // byte-identical full run afterwards.
 func TestCancelMidParallelStage(t *testing.T) {

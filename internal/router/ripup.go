@@ -123,7 +123,7 @@ func routeOn(ctx context.Context, d *design.Design, la *lattice.Lattice, lay *la
 // rebuildLattice constructs a fresh lattice and re-commits every route and
 // via present in the layout.
 func rebuildLattice(d *design.Design, lay *layout.Layout, opts Options) (*lattice.Lattice, error) {
-	la, err := lattice.New(d, opts.Pitch)
+	la, err := lattice.New(d, design.Grid)
 	if err != nil {
 		return nil, err
 	}

@@ -19,15 +19,13 @@ import (
 	"rdlroute/internal/lpopt"
 	"rdlroute/internal/mpsc"
 	"rdlroute/internal/obs"
-	"rdlroute/internal/par"
 )
 
 // Options tune the flow. The zero value is not usable; call
 // DefaultOptions and override as needed.
 type Options struct {
 	Weights     fanout.WeightParams
-	GlobalCells int   // global-cell grid per axis (the paper uses 30)
-	Pitch       int64 // detailed-routing lattice pitch
+	GlobalCells int // global-cell grid per axis (the paper uses 30)
 	ViaCost     float64
 
 	// Ablation switches (all true in the paper's flow).
@@ -65,9 +63,8 @@ type Options struct {
 	OrderPortfolio int
 
 	// Workers bounds the worker pool the flow's data-parallel stages fan
-	// out on: preprocessing's grid graph and candidate construction, the
-	// stage-2 region-mask prebuild, the stage-3 tile warm-up, the
-	// congested-order overlap count and the portfolio race. 0 means
+	// out on: the stage-3 tile warm-up, the congested-order overlap count
+	// and the portfolio race. 0 means
 	// GOMAXPROCS, 1 forces the plain sequential path. Results are
 	// byte-identical at every value — the qa determinism matrix holds the
 	// flow to that contract.
@@ -91,7 +88,6 @@ func DefaultOptions() Options {
 	return Options{
 		Weights:        fanout.DefaultWeightParams(),
 		GlobalCells:    30,
-		Pitch:          design.Grid,
 		ViaCost:        0, // lattice default (3·pitch)
 		UseWeights:     true,
 		EnableLP:       true,
@@ -171,9 +167,6 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	if err := d.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("router: %w", err)
 	}
-	if opts.Pitch == 0 {
-		opts.Pitch = design.Grid
-	}
 	if opts.GlobalCells == 0 {
 		opts.GlobalCells = 30
 	}
@@ -186,7 +179,7 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	// A global cell narrower than one lattice pitch holds no track; the
 	// upper bound also keeps stage 3's per-cell tile tables no larger than
 	// the lattice.
-	if maxCells := min(d.Outline.W(), d.Outline.H())/opts.Pitch + 1; opts.GlobalCells < 1 || int64(opts.GlobalCells) > maxCells {
+	if maxCells := min(d.Outline.W(), d.Outline.H())/design.Grid + 1; opts.GlobalCells < 1 || int64(opts.GlobalCells) > maxCells {
 		return nil, nil, fmt.Errorf("router: global cells %d out of range [1, %d], the lattice nodes on the outline's short axis", opts.GlobalCells, maxCells)
 	}
 
@@ -197,7 +190,7 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	// Stage 1: Preprocessing: the routing lattice with the design's pads,
 	// obstacles and fixed vias claimed, then the fan-out analysis.
 	end := obs.Stage(tr, "preprocess", obs.String("design", d.Name))
-	la, err := lattice.New(d, opts.Pitch)
+	la, err := lattice.New(d, design.Grid)
 	if err != nil {
 		end()
 		return nil, nil, err
@@ -209,8 +202,7 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	}
 	analysis, err := fanout.Analyze(d, fanout.Config{
 		PeripheralDist: opts.PeripheralDist,
-		TrackPitch:     opts.Pitch,
-		Workers:        opts.Workers,
+		TrackPitch:     la.Pitch,
 	})
 	end()
 	if err != nil {
@@ -361,32 +353,16 @@ func concurrentRoute(ctx context.Context, d *design.Design, a *fanout.Analysis, 
 			}
 			return chords[picked[i]].Tag < chords[picked[j]].Tag
 		})
-		// Commit the picked nets in order, prebuilding their region masks on
-		// the worker pool in bounded batches ahead of the commit loop (one
-		// worker builds them inline). Each mask depends only on static
-		// design geometry and the net's own search window — never on
-		// earlier commits — so prebuilding cannot change any route;
-		// batching (a few masks per worker) caps the memory held in flight.
-		batch := 4 * par.Workers(opts.Workers)
-		for lo := 0; lo < len(picked); lo += batch {
-			hi := min(lo+batch, len(picked))
-			masks, err := par.Map(ctx, opts.Workers, hi-lo, func(k int) (*lattice.RegionMask, error) {
-				cand := a.Candidates[chords[picked[lo+k]].Tag]
-				n := d.Nets[cand.Net]
-				return concurrentMask(d, la, d.IOPads[n.P1.Index], d.IOPads[n.P2.Index], l), nil
-			})
-			if err != nil {
-				return routed, fmt.Errorf("router: %w", err)
+		// Commit the picked nets in order, each searching inside its own
+		// region mask.
+		for _, pi := range picked {
+			if err := ctxErr(ctx); err != nil {
+				return routed, err
 			}
-			for k := lo; k < hi; k++ {
-				if err := ctxErr(ctx); err != nil {
-					return routed, err
-				}
-				ci := chords[picked[k]].Tag
-				if tryConcurrentNet(ctx, d, la, lay, a.Candidates[ci], l, masks[k-lo], opts, tr) {
-					consumed[ci] = true
-					routed++
-				}
+			ci := chords[pi].Tag
+			if tryConcurrentNet(ctx, d, la, lay, a.Candidates[ci], l, opts, tr) {
+				consumed[ci] = true
+				routed++
 			}
 		}
 		a.RecomputeCongestion(consumed)
@@ -405,9 +381,9 @@ func chordSpan(chords []mpsc.Chord, idx int) int {
 
 // tryConcurrentNet routes one MPSC-selected net on wire layer l: via
 // stacks at the pads when l > 0, then a single-layer wire through the
-// fan-out region (plus the net's own fan-in regions). region is the
-// net's concurrentMask.
-func tryConcurrentNet(ctx context.Context, d *design.Design, la *lattice.Lattice, lay *layout.Layout, cand fanout.Candidate, l int, region *lattice.RegionMask, opts Options, tr obs.Tracer) bool {
+// fan-out region (plus the net's own fan-in regions), as rasterized by
+// concurrentMask.
+func tryConcurrentNet(ctx context.Context, d *design.Design, la *lattice.Lattice, lay *layout.Layout, cand fanout.Candidate, l int, opts Options, tr obs.Tracer) bool {
 	net := cand.Net
 	n := d.Nets[net]
 	p1 := d.IOPads[n.P1.Index]
@@ -423,7 +399,7 @@ func tryConcurrentNet(ctx context.Context, d *design.Design, la *lattice.Lattice
 	req := lattice.Request{
 		Net: net, From: p1.Center, To: p2.Center,
 		FromLayer: l, ToLayer: l,
-		LayerMask: mask, RegionMask: region, ViaCost: opts.ViaCost,
+		LayerMask: mask, RegionMask: concurrentMask(d, la, p1, p2, l), ViaCost: opts.ViaCost,
 		Ctx: ctx,
 	}
 	if tr.Enabled() {
@@ -530,7 +506,7 @@ func seqViaCost(opts Options) float64 {
 	if opts.ViaCost != 0 {
 		return opts.ViaCost
 	}
-	return 3 * float64(opts.Pitch)
+	return 3 * float64(design.Grid)
 }
 
 // sequentialRoute completes the remaining nets in commit order: each net
@@ -561,7 +537,7 @@ func sequentialRoute(ctx context.Context, d *design.Design, model *ctile.Model, 
 		mode := "fallback"
 		corridor, cok := model.FindCorridor(from, fromLayer, to, toLayer, sites, viaCost)
 		if cok {
-			region := corridorMask(la, model, corridor, opts.Pitch)
+			region := corridorMask(la, model, corridor)
 			req := lattice.Request{
 				Net: net, From: from, To: to,
 				FromLayer: fromLayer, ToLayer: toLayer,
@@ -641,10 +617,10 @@ func terminal(d *design.Design, r design.PadRef) (geom.Point, int) {
 // Masking whole cells instead of the exact tile octagons gives the search
 // more room; whether that routes more nets than octagon masks is open, and
 // the first ROADMAP item measures it.
-func corridorMask(la *lattice.Lattice, model *ctile.Model, corridor []ctile.TileRef, pitch int64) *lattice.RegionMask {
+func corridorMask(la *lattice.Lattice, model *ctile.Model, corridor []ctile.TileRef) *lattice.RegionMask {
 	m := la.NewRegionMask()
 	for _, ref := range corridor {
-		m.AllowRect(ref.Layer, model.CellBox(ref.Cell).Expand(3*pitch))
+		m.AllowRect(ref.Layer, model.CellBox(ref.Cell).Expand(3*la.Pitch))
 	}
 	return m
 }

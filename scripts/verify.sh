@@ -19,17 +19,19 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go vet ./... =="
 go vet ./...
-echo "== regression gate (lattice/router/geom/lpopt) =="
+echo "== regression gate (lattice/router/geom/lp/lpopt) =="
 # Fast fail on the targeted regression tests before the full sweep: the
 # rip-up lattice threading, the int32 state-space bound, edge claims
 # against the reference distance test, goal-side refutation against the
 # reference A*, the Oct8.Center containment property, the T-junction
 # connectivity union, the cancellation fingerprint gate, the global-cell
-# bound that keeps stage 3's tables within the lattice, and stage 5
-# leaving mid-path via centers where stage 4 put them.
+# bound that keeps stage 3's tables within the lattice, stage 5 leaving
+# mid-path via centers where stage 4 put them, the simplex against exact
+# vertex enumeration, zero-row pricing and analytic chain optima, and
+# Stats.Reverted counting components rather than pinned pairs.
 go test -race -run \
-  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption|TestRouteRejectsOversizedGlobalCells|TestOptimizeKeepsViasFixed' \
-  ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/ ./internal/lpopt/
+  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption|TestRouteRejectsOversizedGlobalCells|TestOptimizeKeepsViasFixed|TestMatchesVertexEnumeration|TestZeroRowLP|TestFreeVarChainsAnalytic|TestMediumLPAnalytic|TestRevertedCountsComponents' \
+  ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/ ./internal/lp/ ./internal/lpopt/
 echo "== lattice microbenchmarks: one iteration each =="
 # Keeps BenchmarkNew (pad claims), BenchmarkCommit (wire and via claims)
 # and BenchmarkRoute (a refuted and a successful search) compiling and
@@ -79,7 +81,7 @@ echo "== determinism matrix: workers 1/2/8 at GOMAXPROCS=2 (-race) =="
 # the detector (see denseMatrixNames); the full-size matrix runs in the
 # race-free qa sweep below via the same tests.
 GOMAXPROCS=2 go test -race -count=1 -run \
-  'TestWorkerDeterminism|TestRegressionParallelBatchBoundary|TestCancelMidParallelStage|TestConcurrentEmit' \
+  'TestWorkerDeterminism|TestCancelMidParallelStage|TestConcurrentEmit' \
   ./internal/qa/ ./internal/router/ ./internal/obs/ ./internal/par/
 echo "== portfolio gate: ordering race == solo winner at GOMAXPROCS=2 (-race) =="
 # The ordering-portfolio contract: racing K policies is byte-identical to
