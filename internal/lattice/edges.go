@@ -240,64 +240,22 @@ func (la *Lattice) markEdgesPoly(layer int, poly geom.ConvexPoly, bbox geom.Rect
 	}
 }
 
-// edgeFree reports whether net may sweep wire from node (i,j) in move
-// direction nd (the index into moves). ignoreForeign mirrors the ghost
-// search: only hard claims block.
-func (la *Lattice) edgeFree(l, i, j, nd, net int, ignoreForeign bool) bool {
-	if la.edgeOcc[0] == nil {
-		return true
-	}
-	var kind, ci, cj int
-	switch nd {
-	case 0:
-		kind, ci, cj = edgeE, i, j
-	case 4:
-		kind, ci, cj = edgeE, i-1, j
-	case 2:
-		kind, ci, cj = edgeN, i, j
-	case 6:
-		kind, ci, cj = edgeN, i, j-1
-	case 1:
-		kind, ci, cj = edgeNE, i, j
-	case 5:
-		kind, ci, cj = edgeNE, i-1, j-1
-	case 3:
-		kind, ci, cj = edgeNW, i-1, j
-	default: // 7
-		kind, ci, cj = edgeNW, i, j-1
-	}
-	o := la.edgeOcc[kind][l*la.NX*la.NY+cj*la.NX+ci]
-	if ignoreForeign {
-		return o != hard
-	}
-	return passableFor(o, net)
+// dirEdge maps a move direction id to the cell edge the move sweeps: the
+// edge kind and the offset of the edge's base cell from the move's start
+// node.
+var dirEdge = [8]struct{ kind, di, dj int }{
+	{edgeE, 0, 0}, {edgeNE, 0, 0}, {edgeN, 0, 0}, {edgeNW, -1, 0},
+	{edgeE, -1, 0}, {edgeNE, -1, -1}, {edgeN, 0, -1}, {edgeNW, 0, -1},
 }
 
-// edgeOwnerAt returns the raw edge claim for OwnersOnPath.
+// edgeOwnerAt returns the raw claim on the cell edge that a wire from node
+// (i, j) in move direction nd sweeps, for OwnersOnPath.
 func (la *Lattice) edgeOwnerAt(l, i, j, nd int) int32 {
 	if la.edgeOcc[0] == nil {
 		return free
 	}
-	var kind, ci, cj int
-	switch nd {
-	case 0:
-		kind, ci, cj = edgeE, i, j
-	case 4:
-		kind, ci, cj = edgeE, i-1, j
-	case 2:
-		kind, ci, cj = edgeN, i, j
-	case 6:
-		kind, ci, cj = edgeN, i, j-1
-	case 1:
-		kind, ci, cj = edgeNE, i, j
-	case 5:
-		kind, ci, cj = edgeNE, i-1, j-1
-	case 3:
-		kind, ci, cj = edgeNW, i-1, j
-	default:
-		kind, ci, cj = edgeNW, i, j-1
-	}
-	return la.edgeOcc[kind][l*la.NX*la.NY+cj*la.NX+ci]
+	e := dirEdge[nd]
+	return la.edgeOcc[e.kind][la.nodeID(l, i+e.di, j+e.dj)]
 }
 
 func maxInt(a, b int) int {

@@ -19,6 +19,40 @@ func wide(spacing int64) *design.Design {
 	}
 }
 
+// edgeFree reports whether net may sweep wire from node (i,j) in move
+// direction nd (the index into moves); ignoreForeign mirrors the ghost
+// search: only hard claims block. It decodes the direction with its own
+// switch, independent of the dirEdge table Route reads.
+func (la *Lattice) edgeFree(l, i, j, nd, net int, ignoreForeign bool) bool {
+	if la.edgeOcc[0] == nil {
+		return true
+	}
+	var kind, ci, cj int
+	switch nd {
+	case 0:
+		kind, ci, cj = edgeE, i, j
+	case 4:
+		kind, ci, cj = edgeE, i-1, j
+	case 2:
+		kind, ci, cj = edgeN, i, j
+	case 6:
+		kind, ci, cj = edgeN, i, j-1
+	case 1:
+		kind, ci, cj = edgeNE, i, j
+	case 5:
+		kind, ci, cj = edgeNE, i-1, j-1
+	case 3:
+		kind, ci, cj = edgeNW, i-1, j
+	default: // 7
+		kind, ci, cj = edgeNW, i, j-1
+	}
+	o := la.edgeOcc[kind][l*la.NX*la.NY+cj*la.NX+ci]
+	if ignoreForeign {
+		return o != hard
+	}
+	return passableFor(o, net)
+}
+
 // TestEdgeGuardBlocksCornerCut pins the corner-cutting fix. An obstacle
 // with a corner at (120,120): the lattice nodes (132,120) and (120,132)
 // both clear it by 12 ≥ s+w/2, but the 45° wire between them dips to

@@ -20,20 +20,20 @@ var moves = [8]struct {
 // (search start or just after a via).
 const noDir = 8
 
-// turnOK reports whether moving in direction nd is legal after arriving in
-// direction d: straight, 45° or 90° turns only (no 135° turns, no U-turns).
-func turnOK(d, nd int) bool {
-	if d == noDir {
-		return true
-	}
-	diff := nd - d
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 4 {
-		diff = 8 - diff
-	}
-	return diff <= 2
+// turnMoves lists, for each incoming direction id, the moves the turn rule
+// allows after it in ascending direction order: straight, 45° or 90°
+// turns (no 135° turns, no U-turns), and every move from noDir. A* relaxes
+// its neighbours in this order, which fixes the heap's tie order.
+var turnMoves = [noDir + 1][]int{
+	{0, 1, 2, 6, 7},
+	{0, 1, 2, 3, 7},
+	{0, 1, 2, 3, 4},
+	{1, 2, 3, 4, 5},
+	{2, 3, 4, 5, 6},
+	{3, 4, 5, 6, 7},
+	{0, 4, 5, 6, 7},
+	{0, 1, 5, 6, 7},
+	{0, 1, 2, 3, 4, 5, 6, 7},
 }
 
 // Request describes one net's routing query.
@@ -142,19 +142,29 @@ func (la *Lattice) recordSearch(req *Request, expanded, visited, flooded int, ok
 	}
 }
 
-// searchState holds reusable A* buffers (epoch-stamped).
+// searchState holds reusable A* buffers, valid across searches through
+// the stamps of the current search number cur.
 type searchState struct {
-	dist  []float64
-	prev  []int32
-	epoch []uint32
-	done  []uint32
-	cur   uint32
-	heap  pqueue
+	// st holds one record per A* state (stateID).
+	st   []stateRec
+	cur  uint32
+	heap pqueue
 	// mark holds one stamp per lattice node for the goal-side flood:
 	// cur<<1 once A* has expanded the node, cur<<1|1 once the flood has
 	// reached it. stack is the flood's to-do list of node indices.
 	mark  []uint32
 	stack []int32
+}
+
+// stateRec is one A* state: its best known cost and predecessor, valid
+// when stamp>>1 is the current search number. stamp is cur<<1 once the
+// state is reached and cur<<1|1 once it is expanded. Keeping the four
+// fields in one 16-byte record lets a probe touch one cache line instead
+// of four parallel arrays.
+type stateRec struct {
+	dist  float64
+	prev  int32
+	stamp uint32
 }
 
 // pqEntry keeps priority and state id adjacent so each heap sift touches
@@ -164,52 +174,68 @@ type pqEntry struct {
 	id  int32
 }
 
+// pqueue is a binary min-heap on pri. Its layout is routing behaviour:
+// equal priorities pop in the order the sifts leave them, so push and pop
+// must make exactly the comparisons of the textbook swap-based heap
+// (DESIGN.md §5, "A* state records and heap identity"). Both sift a hole
+// instead of swapping, which writes the same entries to the same slots.
 type pqueue struct {
 	e []pqEntry
 }
 
 func (h *pqueue) reset() { h.e = h.e[:0] }
 
+// push moves the hole up past every parent whose priority exceeds p: it
+// stops at the first parent with pri <= p.
 func (h *pqueue) push(p float64, id int32) {
-	h.e = append(h.e, pqEntry{p, id})
+	h.e = append(h.e, pqEntry{})
 	i := len(h.e) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.e[parent].pri <= h.e[i].pri {
+		if h.e[parent].pri <= p {
 			break
 		}
-		h.e[i], h.e[parent] = h.e[parent], h.e[i]
+		h.e[i] = h.e[parent]
 		i = parent
 	}
+	h.e[i] = pqEntry{p, id}
 }
 
+// pop removes the minimum and sifts the last entry down from the root.
+// The hole takes the right child only when it is strictly smaller than
+// the left, and stops at the first child not strictly below the moved
+// entry.
 func (h *pqueue) pop() (float64, int32) {
 	top := h.e[0]
 	n := len(h.e) - 1
-	h.e[0] = h.e[n]
+	last := h.e[n]
 	h.e = h.e[:n]
+	if n == 0 {
+		return top.pri, top.id
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.e[l].pri < h.e[m].pri {
-			m = l
-		}
-		if r < n && h.e[r].pri < h.e[m].pri {
-			m = r
-		}
-		if m == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.e[i], h.e[m] = h.e[m], h.e[i]
-		i = m
+		if r := c + 1; r < n && h.e[r].pri < h.e[c].pri {
+			c = r
+		}
+		if !(h.e[c].pri < last.pri) {
+			break
+		}
+		h.e[i] = h.e[c]
+		i = c
 	}
+	h.e[i] = last
 	return top.pri, top.id
 }
 
 func (h *pqueue) empty() bool { return len(h.e) == 0 }
 
-// stateID packs (layer, j, i, dir) into an int32.
+// stateID packs (layer, j, i, dir) into an int32: node index times nine
+// plus the incoming direction.
 func (la *Lattice) stateID(l, i, j, dir int) int32 {
 	return int32(la.nodeID(l, i, j)*9 + dir)
 }
@@ -234,14 +260,11 @@ func (la *Lattice) ensureSearch() *searchState {
 	nodes := la.Layers * la.NX * la.NY
 	n := nodes * 9
 	// Fresh buffers also before cur<<1 would wrap onto stamps that
-	// earlier searches left in mark.
-	if la.search == nil || len(la.search.dist) < n || la.search.cur == math.MaxUint32>>1 {
+	// earlier searches left in st and mark.
+	if la.search == nil || len(la.search.st) < n || la.search.cur == math.MaxUint32>>1 {
 		la.search = &searchState{
-			dist:  make([]float64, n),
-			prev:  make([]int32, n),
-			epoch: make([]uint32, n),
-			done:  make([]uint32, n),
-			mark:  make([]uint32, nodes),
+			st:   make([]stateRec, n),
+			mark: make([]uint32, nodes),
 		}
 	}
 	la.search.cur++
@@ -253,7 +276,8 @@ func (la *Lattice) ensureSearch() *searchState {
 // moveRules holds what one search's moves must respect besides the turn
 // rule and the cost cap: the search window, the layer and region masks,
 // and the net's right to the wire, edge and via space it enters. A* and
-// the goal-side flood test their moves with the same methods.
+// the goal-side flood test their moves with the same methods, on node
+// indices (nodeID) taken from the move tables.
 type moveRules struct {
 	la  *Lattice
 	req *Request
@@ -269,6 +293,44 @@ type moveRules struct {
 	// search outcome — it only stops the frontier from flooding the whole
 	// lattice on hard or unroutable nets.
 	wi0, wj0, wi1, wj1 int
+	// Move tables, built once per search (initTables). plane is the node
+	// count of one layer, the node index step of a via. By direction id:
+	// delta is the node index step of the move, step its cost, edge the
+	// slab of the cell edge it sweeps (nil while the lattice holds no
+	// edge claim) and edgeOff the offset of that edge's index from the
+	// move's start node.
+	plane   int
+	delta   [8]int
+	step    [8]float64
+	edge    [8][]int32
+	edgeOff [8]int
+}
+
+// initTables fills the move tables from the lattice's geometry and edge
+// slabs.
+func (r *moveRules) initTables() {
+	la := r.la
+	r.plane = la.NX * la.NY
+	for nd, mv := range moves {
+		r.delta[nd] = mv.dy*la.NX + mv.dx
+		r.step[nd] = float64(la.Pitch)
+		if mv.diag {
+			r.step[nd] *= geom.Sqrt2
+		}
+		if la.edgeOcc[0] != nil {
+			e := dirEdge[nd]
+			r.edge[nd] = la.edgeOcc[e.kind]
+			r.edgeOff[nd] = e.dj*la.NX + e.di
+		}
+	}
+}
+
+// node splits node index k into its layer and lattice indices.
+func (r *moveRules) node(k int) (l, i, j int) {
+	l = k / r.plane
+	ij := k - l*r.plane
+	j = ij / r.la.NX
+	return l, ij - j*r.la.NX, j
 }
 
 func (r *moveRules) layerOK(l int) bool {
@@ -291,17 +353,23 @@ func (r *moveRules) admits(o int32) bool {
 	return o == free || o == r.own || (r.ignore && o != hard)
 }
 
-// wireOK reports whether the wire space of node (l, i, j) admits the net.
-func (r *moveRules) wireOK(l, i, j int) bool {
-	return r.admits(r.la.wireOcc[r.la.nodeID(l, i, j)])
+// wireOK reports whether the wire space of node k admits the net.
+func (r *moveRules) wireOK(k int) bool {
+	return r.admits(r.la.wireOcc[k])
 }
 
-// viaOK reports whether a via on slab s at node (i, j) admits the net:
+// edgeOK reports whether the cell edge that move nd from node k sweeps
+// admits the net.
+func (r *moveRules) edgeOK(k, nd int) bool {
+	e := r.edge[nd]
+	return e == nil || r.admits(e[k+r.edgeOff[nd]])
+}
+
+// viaOK reports whether a via whose lower end is node k admits the net:
 // its via space and the wire space on both layers it joins (ViaFree).
-func (r *moveRules) viaOK(s, i, j int) bool {
+func (r *moveRules) viaOK(k int) bool {
 	la := r.la
-	k := la.nodeID(s, i, j)
-	return r.admits(la.viaOcc[k]) && r.admits(la.wireOcc[k]) && r.admits(la.wireOcc[k+la.NX*la.NY])
+	return r.admits(la.viaOcc[k]) && r.admits(la.wireOcc[k]) && r.admits(la.wireOcc[k+r.plane])
 }
 
 // Route finds a DRC-clean path for the request, or ok=false. The returned
@@ -336,6 +404,7 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 	if !r.layerOK(req.FromLayer) || !r.layerOK(req.ToLayer) {
 		return nil, 0, false
 	}
+	r.initTables()
 	ss := la.ensureSearch()
 	expanded, visited := 0, 0
 	var fl goalFlood
@@ -353,31 +422,33 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 		return d + float64(dl)*req.ViaCost
 	}
 
-	relax := func(s int32, d float64, from int32, fpri float64) {
-		if ss.epoch[s] != ss.cur || d < ss.dist[s] {
-			ss.epoch[s] = ss.cur
-			ss.dist[s] = d
-			ss.prev[s] = from
+	// Stamps of this search: a state is reached once it has a cost, and
+	// expanded once it is popped; relax never sees an expanded state.
+	reached, exp := ss.cur<<1, ss.cur<<1|1
+	relax := func(rec *stateRec, s int32, d float64, from int32, fpri float64) {
+		if rec.stamp != reached || d < rec.dist {
+			*rec = stateRec{dist: d, prev: from, stamp: reached}
 			ss.heap.push(fpri, s)
 			visited++
 		}
 	}
 
 	start := la.stateID(req.FromLayer, fi, fj, noDir)
-	if !r.wireOK(req.FromLayer, fi, fj) {
+	if !r.wireOK(la.nodeID(req.FromLayer, fi, fj)) {
 		return nil, 0, false
 	}
 	if fl.start(&r, ss); fl.refuted {
 		return nil, 0, false
 	}
-	relax(start, 0, -1, h(fi, fj, req.FromLayer))
+	relax(&ss.st[start], start, 0, -1, h(fi, fj, req.FromLayer))
 
 	for !ss.heap.empty() {
 		f, s := ss.heap.pop()
-		if ss.done[s] == ss.cur {
+		rec := &ss.st[s]
+		if rec.stamp == exp {
 			continue
 		}
-		ss.done[s] = ss.cur
+		rec.stamp = exp
 		expanded++
 		if req.Ctx != nil && expanded%cancelPollPeriod == 0 && req.Ctx.Err() != nil {
 			return nil, 0, false
@@ -385,38 +456,32 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 		if f > req.MaxCost {
 			return nil, 0, false
 		}
-		l, i, j, dir := la.unpack(s)
+		k := int(s) / 9
+		dir := int(s) - 9*k
+		l, i, j := r.node(k)
 		if l == req.ToLayer && la.idx(i, j) == goalNode {
-			return la.rebuild(ss, s), ss.dist[s], true
+			return la.rebuild(ss, s), rec.dist, true
 		}
 		if fl.active {
-			fl.expand(ss, la.nodeID(l, i, j))
+			fl.expand(ss, k)
 		}
-		d := ss.dist[s]
+		d := rec.dist
 		// Wire moves.
-		for nd, mv := range moves {
-			if !turnOK(dir, nd) {
-				continue
-			}
-			ni, nj := i+mv.dx, j+mv.dy
+		for _, nd := range turnMoves[dir] {
+			ni, nj := i+moves[nd].dx, j+moves[nd].dy
 			if !r.inWindow(ni, nj) {
 				continue
 			}
-			if !r.wireOK(l, ni, nj) || !r.regionOK(l, ni, nj) {
+			nk := k + r.delta[nd]
+			if !r.wireOK(nk) || !r.regionOK(l, ni, nj) || !r.edgeOK(k, nd) {
 				continue
 			}
-			if !la.edgeFree(l, i, j, nd, req.Net, req.IgnoreForeign) {
+			ns := int32(nk*9 + nd)
+			nrec := &ss.st[ns]
+			if nrec.stamp == exp {
 				continue
 			}
-			step := float64(la.Pitch)
-			if mv.diag {
-				step *= geom.Sqrt2
-			}
-			ns := la.stateID(l, ni, nj, nd)
-			if ss.done[ns] == ss.cur {
-				continue
-			}
-			nd2 := d + step
+			nd2 := d + r.step[nd]
 			pri := nd2 + h(ni, nj, l)
 			if pri > req.MaxCost {
 				// A consistent heuristic pops states in f order, so a
@@ -425,23 +490,20 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 				// time keeps the frontier small without changing results.
 				continue
 			}
-			relax(ns, nd2, s, pri)
+			relax(nrec, ns, nd2, s, pri)
 		}
-		// Via moves.
-		for _, dl := range []int{-1, 1} {
-			nl := l + dl
+		// Via moves: down a layer, then up.
+		for _, nl := range [2]int{l - 1, l + 1} {
 			if nl < 0 || nl >= la.Layers || !r.layerOK(nl) {
 				continue
 			}
-			slab := l
-			if nl < l {
-				slab = nl
-			}
-			if !r.viaOK(slab, i, j) || !r.regionOK(nl, i, j) {
+			nk := k + (nl-l)*r.plane
+			if !r.viaOK(min(k, nk)) || !r.regionOK(nl, i, j) {
 				continue
 			}
-			ns := la.stateID(nl, i, j, noDir)
-			if ss.done[ns] == ss.cur {
+			ns := int32(nk*9 + noDir)
+			nrec := &ss.st[ns]
+			if nrec.stamp == exp {
 				continue
 			}
 			nd2 := d + req.ViaCost
@@ -449,7 +511,7 @@ func (la *Lattice) Route(req Request) (path []PathStep, cost float64, ok bool) {
 			if pri > req.MaxCost {
 				continue
 			}
-			relax(ns, nd2, s, pri)
+			relax(nrec, ns, nd2, s, pri)
 		}
 		if fl.active {
 			if fl.step(&r, ss); fl.refuted {
@@ -487,13 +549,14 @@ func (fl *goalFlood) start(r *moveRules, ss *searchState) {
 	if req.FromLayer == req.ToLayer && r.fi == r.ti && r.fj == r.tj {
 		return
 	}
-	if !r.wireOK(req.ToLayer, r.ti, r.tj) {
+	goal := r.la.nodeID(req.ToLayer, r.ti, r.tj)
+	if !r.wireOK(goal) {
 		fl.refuted = true
 		return
 	}
 	fl.exp, fl.reached = ss.cur<<1, ss.cur<<1|1
 	fl.active = true
-	fl.reach(ss, r.la.nodeID(req.ToLayer, r.ti, r.tj))
+	fl.reach(ss, goal)
 }
 
 // expand notes that A* has expanded node k.
@@ -525,15 +588,14 @@ func (fl *goalFlood) step(r *moveRules, ss *searchState) {
 	k := int(ss.stack[len(ss.stack)-1])
 	ss.stack = ss.stack[:len(ss.stack)-1]
 	fl.popped++
-	i, j, l := k%la.NX, k/la.NX%la.NY, k/(la.NX*la.NY)
+	l, i, j := r.node(k)
 	for nd, mv := range moves {
 		ni, nj := i+mv.dx, j+mv.dy
 		if !r.inWindow(ni, nj) {
 			continue
 		}
-		nk := la.nodeID(l, ni, nj)
-		if ss.mark[nk] == fl.reached || !r.wireOK(l, ni, nj) || !r.regionOK(l, ni, nj) ||
-			!la.edgeFree(l, i, j, nd, r.req.Net, r.req.IgnoreForeign) {
+		nk := k + r.delta[nd]
+		if ss.mark[nk] == fl.reached || !r.wireOK(nk) || !r.regionOK(l, ni, nj) || !r.edgeOK(k, nd) {
 			continue
 		}
 		if fl.reach(ss, nk); !fl.active {
@@ -544,8 +606,8 @@ func (fl *goalFlood) step(r *moveRules, ss *searchState) {
 		if nl < 0 || nl >= la.Layers || !r.layerOK(nl) {
 			continue
 		}
-		nk := la.nodeID(nl, i, j)
-		if ss.mark[nk] == fl.reached || !r.viaOK(min(l, nl), i, j) || !r.regionOK(nl, i, j) {
+		nk := k + (nl-l)*r.plane
+		if ss.mark[nk] == fl.reached || !r.viaOK(min(k, nk)) || !r.regionOK(nl, i, j) {
 			continue
 		}
 		if fl.reach(ss, nk); !fl.active {
@@ -559,10 +621,16 @@ func (fl *goalFlood) step(r *moveRules, ss *searchState) {
 // collinear runs merged.
 func (la *Lattice) rebuild(ss *searchState, s int32) []PathStep {
 	var raw []PathStep
-	for cur := s; cur >= 0; cur = ss.prev[cur] {
+	for cur := s; cur >= 0; cur = ss.st[cur].prev {
 		l, i, j, _ := la.unpack(cur)
 		raw = append(raw, PathStep{Layer: l, Pt: la.NodePoint(i, j)})
 	}
+	return compactPath(raw)
+}
+
+// compactPath reverses a goal-to-start chain of steps and merges its
+// collinear same-layer runs, in place.
+func compactPath(raw []PathStep) []PathStep {
 	// Reverse.
 	for a, b := 0, len(raw)-1; a < b; a, b = a+1, b-1 {
 		raw[a], raw[b] = raw[b], raw[a]

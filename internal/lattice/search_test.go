@@ -10,10 +10,155 @@ import (
 	"rdlroute/internal/obs"
 )
 
+// turnOK is the turn rule turnMoves tabulates: moving in direction nd is
+// legal after arriving in direction d when the turn is straight, 45° or
+// 90° (no 135° turns, no U-turns), and always after noDir.
+func turnOK(d, nd int) bool {
+	if d == noDir {
+		return true
+	}
+	diff := nd - d
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff > 4 {
+		diff = 8 - diff
+	}
+	return diff <= 2
+}
+
+// TestTurnMovesMatchTurnRule: each turnMoves list holds exactly the moves
+// turnOK allows, in ascending direction order.
+func TestTurnMovesMatchTurnRule(t *testing.T) {
+	for d := 0; d <= noDir; d++ {
+		var want []int
+		for nd := range moves {
+			if turnOK(d, nd) {
+				want = append(want, nd)
+			}
+		}
+		if !reflect.DeepEqual(turnMoves[d], want) {
+			t.Errorf("turnMoves[%d] = %v, want %v", d, turnMoves[d], want)
+		}
+	}
+}
+
+// swapHeap is the reference binary min-heap: the textbook sifts that swap
+// an entry with its parent or smaller child, which pqueue's hole sifts
+// must match comparison for comparison.
+type swapHeap struct{ e []pqEntry }
+
+func (h *swapHeap) push(p float64, id int32) {
+	h.e = append(h.e, pqEntry{p, id})
+	i := len(h.e) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.e[parent].pri <= h.e[i].pri {
+			break
+		}
+		h.e[i], h.e[parent] = h.e[parent], h.e[i]
+		i = parent
+	}
+}
+
+func (h *swapHeap) pop() (float64, int32) {
+	top := h.e[0]
+	n := len(h.e) - 1
+	h.e[0] = h.e[n]
+	h.e = h.e[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && h.e[l].pri < h.e[m].pri {
+			m = l
+		}
+		if r < n && h.e[r].pri < h.e[m].pri {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h.e[i], h.e[m] = h.e[m], h.e[i]
+		i = m
+	}
+	return top.pri, top.id
+}
+
+// TestPQueueMatchesSwapHeap runs seeded random push/pop interleavings on
+// pqueue and swapHeap with priorities drawn from one to four values, so
+// ties dominate. Every pop must return the same (pri, id), and after
+// every operation the two backing arrays must be equal entry for entry.
+func TestPQueueMatchesSwapHeap(t *testing.T) {
+	var pops, ties int
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h pqueue
+		var ref swapHeap
+		values := 1 + rng.Intn(4)
+		pushShare := 0.3 + 0.4*rng.Float64()
+		id := int32(0)
+		for op := 0; op < 600; op++ {
+			if len(ref.e) == 0 || (op < 500 && rng.Float64() < pushShare) {
+				p := float64(rng.Intn(values))
+				h.push(p, id)
+				ref.push(p, id)
+				id++
+			} else {
+				gp, gid := h.pop()
+				wp, wid := ref.pop()
+				if gp != wp || gid != wid {
+					t.Fatalf("seed %d op %d: pop (%v, %d), swap heap (%v, %d)", seed, op, gp, gid, wp, wid)
+				}
+				pops++
+				if len(ref.e) > 0 && ref.e[0].pri == wp {
+					ties++
+				}
+			}
+			if len(h.e) != len(ref.e) {
+				t.Fatalf("seed %d op %d: %d entries, swap heap %d", seed, op, len(h.e), len(ref.e))
+			}
+			for k := range ref.e {
+				if h.e[k] != ref.e[k] {
+					t.Fatalf("seed %d op %d: entry %d is %+v, swap heap %+v", seed, op, k, h.e[k], ref.e[k])
+				}
+			}
+		}
+	}
+	if ties < pops/2 {
+		t.Fatalf("%d of %d pops left a tie at the root, want at least half", ties, pops)
+	}
+}
+
+// refSearch holds the reference A*'s buffers, sharing nothing with
+// searchState: four parallel arrays per state (dist, prev, epoch, done)
+// and the swap heap.
+type refSearch struct {
+	dist  []float64
+	prev  []int32
+	epoch []uint32
+	done  []uint32
+	cur   uint32
+	heap  swapHeap
+}
+
+func newRefSearch(la *Lattice) *refSearch {
+	n := la.Layers * la.NX * la.NY * 9
+	return &refSearch{
+		dist:  make([]float64, n),
+		prev:  make([]int32, n),
+		epoch: make([]uint32, n),
+		done:  make([]uint32, n),
+	}
+}
+
 // referenceRoute is Route without the goal-side flood: plain A* that
 // reports a failure only once it has exhausted the start side or the cost
-// cap. It writes req.Stats but reports nothing to the tracer.
-func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, ok bool) {
+// cap. It shares no search state with Route: its buffers are rs, its
+// moves test turnOK and edgeFree, and it walks node coordinates rather
+// than index tables. It writes req.Stats but reports nothing to the
+// tracer.
+func (la *Lattice) referenceRoute(rs *refSearch, req Request) (path []PathStep, cost float64, ok bool) {
 	fi, fj, ok1 := la.NodeAt(req.From)
 	ti, tj, ok2 := la.NodeAt(req.To)
 	if !ok1 || !ok2 {
@@ -31,7 +176,8 @@ func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, o
 	if !layerAllowed(req.FromLayer) || !layerAllowed(req.ToLayer) {
 		return nil, 0, false
 	}
-	ss := la.ensureSearch()
+	rs.cur++
+	rs.heap.e = rs.heap.e[:0]
 	expanded, visited := 0, 0
 	defer func() {
 		if req.Stats != nil {
@@ -72,11 +218,11 @@ func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, o
 		return d + float64(dl)*req.ViaCost
 	}
 	relax := func(s int32, d float64, from int32, fpri float64) {
-		if ss.epoch[s] != ss.cur || d < ss.dist[s] {
-			ss.epoch[s] = ss.cur
-			ss.dist[s] = d
-			ss.prev[s] = from
-			ss.heap.push(fpri, s)
+		if rs.epoch[s] != rs.cur || d < rs.dist[s] {
+			rs.epoch[s] = rs.cur
+			rs.dist[s] = d
+			rs.prev[s] = from
+			rs.heap.push(fpri, s)
 			visited++
 		}
 	}
@@ -86,12 +232,12 @@ func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, o
 		return nil, 0, false
 	}
 	relax(start, 0, -1, h(fi, fj, req.FromLayer))
-	for !ss.heap.empty() {
-		f, s := ss.heap.pop()
-		if ss.done[s] == ss.cur {
+	for len(rs.heap.e) > 0 {
+		f, s := rs.heap.pop()
+		if rs.done[s] == rs.cur {
 			continue
 		}
-		ss.done[s] = ss.cur
+		rs.done[s] = rs.cur
 		expanded++
 		if req.Ctx != nil && expanded%cancelPollPeriod == 0 && req.Ctx.Err() != nil {
 			return nil, 0, false
@@ -101,9 +247,14 @@ func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, o
 		}
 		l, i, j, dir := la.unpack(s)
 		if l == req.ToLayer && la.idx(i, j) == goalNode {
-			return la.rebuild(ss, s), ss.dist[s], true
+			var raw []PathStep
+			for cur := s; cur >= 0; cur = rs.prev[cur] {
+				l, i, j, _ := la.unpack(cur)
+				raw = append(raw, PathStep{Layer: l, Pt: la.NodePoint(i, j)})
+			}
+			return compactPath(raw), rs.dist[s], true
 		}
-		d := ss.dist[s]
+		d := rs.dist[s]
 		for nd, mv := range moves {
 			if !turnOK(dir, nd) {
 				continue
@@ -123,7 +274,7 @@ func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, o
 				step *= geom.Sqrt2
 			}
 			ns := la.stateID(l, ni, nj, nd)
-			if ss.done[ns] == ss.cur {
+			if rs.done[ns] == rs.cur {
 				continue
 			}
 			nd2 := d + step
@@ -146,7 +297,7 @@ func (la *Lattice) referenceRoute(req Request) (path []PathStep, cost float64, o
 				continue
 			}
 			ns := la.stateID(nl, i, j, noDir)
-			if ss.done[ns] == ss.cur {
+			if rs.done[ns] == rs.cur {
 				continue
 			}
 			nd2 := d + req.ViaCost
@@ -330,12 +481,12 @@ func randomRefuteRequest(rng *rand.Rand, la *Lattice, rings []ring) Request {
 	return req
 }
 
-// TestRouteMatchesReference holds Route's goal-side refutation to the
-// reference A*: on seeded random lattices every request must return the
-// reference's path, cost and outcome. A search the flood did not refute
-// must also report the reference's effort; a refuted one may only expand
-// fewer states. Both the refuted and the routed paths must stay well
-// exercised.
+// TestRouteMatchesReference holds Route's goal-side refutation, state
+// records, hole-sift heap and move tables to the reference A*: on seeded
+// random lattices every request must return the reference's path, cost
+// and outcome. A search the flood did not refute must also report the
+// reference's effort; a refuted one may only expand fewer states. Both
+// the refuted and the routed paths must stay well exercised.
 func TestRouteMatchesReference(t *testing.T) {
 	c := obs.NewCollector()
 	var refuted, routed, capped int
@@ -343,11 +494,12 @@ func TestRouteMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		la, rings := randomRefuteLattice(t, rng)
 		la.SetTracer(c)
+		rs := newRefSearch(la)
 		for k := 0; k < 16; k++ {
 			req := randomRefuteRequest(rng, la, rings)
 			var got, want SearchStats
 			req.Stats = &want
-			wantPath, wantCost, wantOK := la.referenceRoute(req)
+			wantPath, wantCost, wantOK := la.referenceRoute(rs, req)
 			req.Stats = &got
 			before := c.Counter("astar.refuted")
 			path, cost, ok := la.Route(req)
