@@ -207,7 +207,8 @@ func TestTileBBsMatchTiles(t *testing.T) {
 
 // TestCellsTouchingMatchesCellBox maps every coordinate of the Table-I
 // outlines to a cell and checks it is the lowest-index cell whose CellBox
-// contains the coordinate, on both axes.
+// contains the coordinate, on both axes, and that cellAt maps the point
+// to the same cell.
 func TestCellsTouchingMatchesCellBox(t *testing.T) {
 	for _, spec := range design.DenseSuite() {
 		d, err := design.Generate(spec)
@@ -230,6 +231,12 @@ func TestCellsTouchingMatchesCellBox(t *testing.T) {
 					t.Errorf("%s: x=%d maps to cells %v, want [%d] (box %v)", spec.Name, x, got, want, m.CellBox(want))
 				}
 			}
+			if c := m.cellAt(p); len(got) == 1 && c != got[0] {
+				bad++
+				if bad <= 3 {
+					t.Errorf("%s: cellAt(%v) = %d, cellsTouching %v", spec.Name, p, c, got)
+				}
+			}
 		}
 		for y := o.Y0; y <= o.Y1; y++ {
 			p := geom.Pt(o.X0, y)
@@ -242,6 +249,12 @@ func TestCellsTouchingMatchesCellBox(t *testing.T) {
 				bad++
 				if bad <= 3 {
 					t.Errorf("%s: y=%d maps to cells %v, want [%d] (box %v)", spec.Name, y, got, want, m.CellBox(want))
+				}
+			}
+			if c := m.cellAt(p); len(got) == 1 && c != got[0] {
+				bad++
+				if bad <= 3 {
+					t.Errorf("%s: cellAt(%v) = %d, cellsTouching %v", spec.Name, p, c, got)
 				}
 			}
 		}

@@ -239,14 +239,10 @@ func (m *Model) TileNear(layer int, p geom.Point) (TileRef, bool) {
 	if r, ok := m.TileAt(layer, p); ok {
 		return r, true
 	}
-	cells := m.cellsTouching(geom.RectOf(p, p))
-	if len(cells) == 0 {
-		return TileRef{}, false
-	}
 	best := TileRef{}
 	bestD := math.Inf(1)
 	found := false
-	for _, c := range m.neighborCells(cells[0]) {
+	for _, c := range m.neighborCells(m.cellAt(p)) {
 		for i, t := range m.Tiles(layer, c) {
 			d := t.BBox().DistToPoint(p)
 			if d < bestD {

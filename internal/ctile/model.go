@@ -148,6 +148,14 @@ func (m *Model) cellsTouching(b geom.Rect) []int {
 	return out
 }
 
+// cellAt returns the cell cellsTouching(RectOf(p, p)) would return alone:
+// the lowest-index cell containing p, or the nearest edge cell for a p
+// outside the outline.
+func (m *Model) cellAt(p geom.Point) int {
+	o := m.D.Outline
+	return cellSpan(p.Y-o.Y0, o.H(), m.CellsY)*m.CellsX + cellSpan(p.X-o.X0, o.W(), m.CellsX)
+}
+
 // addBlocker records a grown blockage shape and dirties affected cells.
 func (m *Model) addBlocker(layer int, shape geom.Oct8) {
 	if layer < 0 || layer >= len(m.blockers) {
@@ -249,22 +257,36 @@ func (m *Model) buildCell(layer, cell int) []geom.Oct8 {
 	ys = uniq(ys)
 
 	var tiles []geom.Oct8
+	// pieces and next hold a frame's pieces before and after one blocker
+	// is subtracted. They belong to this call, not the Model: BuildAll
+	// runs buildCell for many cells at once.
+	var pieces, next []geom.Oct8
 	for yi := 0; yi+1 < len(ys); yi++ {
 		for xi := 0; xi+1 < len(xs); xi++ {
 			frame := geom.Rect{X0: xs[xi], Y0: ys[yi], X1: xs[xi+1], Y1: ys[yi+1]}
 			if frame.W() < m.minDim && frame.H() < m.minDim {
 				continue
 			}
-			pieces := []geom.Oct8{geom.OctFromRect(frame)}
+			fo := geom.OctFromRect(frame)
+			pieces = append(pieces[:0], fo)
 			for _, b := range blockers {
 				if len(pieces) == 0 {
 					break
 				}
-				var next []geom.Oct8
-				for _, p := range pieces {
-					next = append(next, p.SubtractOct(b)...)
+				// Every piece lies inside the frame, so a blocker that
+				// misses the frame leaves all of them as they are.
+				if boundsMiss(fo, b) {
+					continue
 				}
-				pieces = next
+				next = next[:0]
+				for _, p := range pieces {
+					if boundsMiss(p, b) {
+						next = append(next, p)
+					} else {
+						next = p.AppendSubtractOct(next, b)
+					}
+				}
+				pieces, next = next, pieces
 			}
 			for _, p := range pieces {
 				bb := p.BBox()
@@ -285,6 +307,15 @@ func (m *Model) buildCell(layer, cell int) []geom.Oct8 {
 	return tiles
 }
 
+// boundsMiss reports whether a and b, by their raw bounds, lie apart on
+// one of the four axes (x, y, x+y, y−x). They then share no point, and
+// SubtractOct returns a non-empty a unchanged: canonical bounds are only
+// tighter.
+func boundsMiss(a, b geom.Oct8) bool {
+	return a.XHi < b.XLo || b.XHi < a.XLo || a.YHi < b.YLo || b.YHi < a.YLo ||
+		a.SHi < b.SLo || b.SHi < a.SLo || a.DHi < b.DLo || b.DHi < a.DLo
+}
+
 // TileRef addresses one tile.
 type TileRef struct {
 	Layer, Cell, Idx int
@@ -295,11 +326,10 @@ func (m *Model) TileAt(layer int, p geom.Point) (TileRef, bool) {
 	if !m.D.Outline.Contains(p) {
 		return TileRef{}, false
 	}
-	for _, c := range m.cellsTouching(geom.RectOf(p, p)) {
-		for i, t := range m.Tiles(layer, c) {
-			if t.Contains(p) {
-				return TileRef{layer, c, i}, true
-			}
+	c := m.cellAt(p)
+	for i, t := range m.Tiles(layer, c) {
+		if t.Contains(p) {
+			return TileRef{layer, c, i}, true
 		}
 	}
 	return TileRef{}, false

@@ -58,9 +58,12 @@ func (o Oct8) String() string {
 // Empty reports whether the region contains no integer or real point.
 // It canonicalizes first, so redundant-looking bounds do not cause false
 // positives.
-func (o Oct8) Empty() bool {
-	c := o.Canonical()
-	return c.XLo > c.XHi || c.YLo > c.YHi || c.SLo > c.SHi || c.DLo > c.DHi
+func (o Oct8) Empty() bool { return o.Canonical().inverted() }
+
+// inverted reports whether some lower bound of o exceeds its upper bound.
+// On a canonical region that is exactly Empty.
+func (o Oct8) inverted() bool {
+	return o.XLo > o.XHi || o.YLo > o.YHi || o.SLo > o.SHi || o.DLo > o.DHi
 }
 
 // Contains reports whether p satisfies all eight half-plane constraints.
@@ -151,7 +154,7 @@ func (o Oct8) Intersects(q Oct8) bool { return !o.IntersectOct(q).Empty() }
 // for a 2D region, fewer for degenerate segments/points.
 func (o Oct8) Vertices() []PointF {
 	c := o.Canonical()
-	if c.XLo > c.XHi || c.YLo > c.YHi || c.SLo > c.SHi || c.DLo > c.DHi {
+	if c.inverted() {
 		return nil
 	}
 	// Walk the eight boundary lines in CCW order starting at the south edge
@@ -313,51 +316,59 @@ func OctAroundSegment(s Segment, r int64) Oct8 {
 
 // SubtractOct returns o \ b as a set of disjoint Oct8 pieces, by peeling
 // one half-plane of b at a time. The pieces tile o minus b exactly.
-func (o Oct8) SubtractOct(b Oct8) []Oct8 {
+func (o Oct8) SubtractOct(b Oct8) []Oct8 { return o.AppendSubtractOct(nil, b) }
+
+// AppendSubtractOct appends the pieces of o \ b to dst and returns the
+// extended slice: o itself when it misses b (nothing when o is empty),
+// else one canonical non-empty piece per half-plane of b that cuts o. The
+// half-planes are peeled in the order x ≥ XLo, x ≤ XHi, y ≥ YLo, y ≤ YHi,
+// x+y ≥ SLo, x+y ≤ SHi, y−x ≥ DLo, y−x ≤ DHi: each emits the part of the
+// remainder outside it (integer complement: outside x ≥ lo is x ≤ lo−1)
+// and keeps the part inside, until the remainder is empty. It allocates
+// only when dst must grow.
+func (o Oct8) AppendSubtractOct(dst []Oct8, b Oct8) []Oct8 {
 	if !o.Intersects(b) {
 		if o.Empty() {
-			return nil
+			return dst
 		}
-		return []Oct8{o}
+		return append(dst, o)
 	}
 	b = b.Canonical()
-	remaining := o
-	var out []Oct8
-	emit := func(piece Oct8) {
-		if !piece.Empty() {
-			out = append(out, piece.Canonical())
+	rem := o
+	for cut := 0; cut < 8; cut++ {
+		out := rem
+		switch cut {
+		case 0:
+			out.XHi = Min64(out.XHi, b.XLo-1)
+			rem.XLo = Max64(rem.XLo, b.XLo)
+		case 1:
+			out.XLo = Max64(out.XLo, b.XHi+1)
+			rem.XHi = Min64(rem.XHi, b.XHi)
+		case 2:
+			out.YHi = Min64(out.YHi, b.YLo-1)
+			rem.YLo = Max64(rem.YLo, b.YLo)
+		case 3:
+			out.YLo = Max64(out.YLo, b.YHi+1)
+			rem.YHi = Min64(rem.YHi, b.YHi)
+		case 4:
+			out.SHi = Min64(out.SHi, b.SLo-1)
+			rem.SLo = Max64(rem.SLo, b.SLo)
+		case 5:
+			out.SLo = Max64(out.SLo, b.SHi+1)
+			rem.SHi = Min64(rem.SHi, b.SHi)
+		case 6:
+			out.DHi = Min64(out.DHi, b.DLo-1)
+			rem.DLo = Max64(rem.DLo, b.DLo)
+		case 7:
+			out.DLo = Max64(out.DLo, b.DHi+1)
+			rem.DHi = Min64(rem.DHi, b.DHi)
 		}
-	}
-	// For each half-plane constraint of b, split off the part of remaining
-	// outside it. Integer complements: x ≥ lo ⇒ outside is x ≤ lo−1.
-	type cut struct {
-		apply func(Oct8) Oct8 // piece outside b's constraint
-		keep  func(Oct8) Oct8 // piece inside b's constraint
-	}
-	cuts := []cut{
-		{func(p Oct8) Oct8 { p.XHi = Min64(p.XHi, b.XLo-1); return p },
-			func(p Oct8) Oct8 { p.XLo = Max64(p.XLo, b.XLo); return p }},
-		{func(p Oct8) Oct8 { p.XLo = Max64(p.XLo, b.XHi+1); return p },
-			func(p Oct8) Oct8 { p.XHi = Min64(p.XHi, b.XHi); return p }},
-		{func(p Oct8) Oct8 { p.YHi = Min64(p.YHi, b.YLo-1); return p },
-			func(p Oct8) Oct8 { p.YLo = Max64(p.YLo, b.YLo); return p }},
-		{func(p Oct8) Oct8 { p.YLo = Max64(p.YLo, b.YHi+1); return p },
-			func(p Oct8) Oct8 { p.YHi = Min64(p.YHi, b.YHi); return p }},
-		{func(p Oct8) Oct8 { p.SHi = Min64(p.SHi, b.SLo-1); return p },
-			func(p Oct8) Oct8 { p.SLo = Max64(p.SLo, b.SLo); return p }},
-		{func(p Oct8) Oct8 { p.SLo = Max64(p.SLo, b.SHi+1); return p },
-			func(p Oct8) Oct8 { p.SHi = Min64(p.SHi, b.SHi); return p }},
-		{func(p Oct8) Oct8 { p.DHi = Min64(p.DHi, b.DLo-1); return p },
-			func(p Oct8) Oct8 { p.DLo = Max64(p.DLo, b.DLo); return p }},
-		{func(p Oct8) Oct8 { p.DLo = Max64(p.DLo, b.DHi+1); return p },
-			func(p Oct8) Oct8 { p.DHi = Min64(p.DHi, b.DHi); return p }},
-	}
-	for _, c := range cuts {
-		emit(c.apply(remaining))
-		remaining = c.keep(remaining)
-		if remaining.Empty() {
+		if piece := out.Canonical(); !piece.inverted() {
+			dst = append(dst, piece)
+		}
+		if rem.Empty() {
 			break
 		}
 	}
-	return out
+	return dst
 }
