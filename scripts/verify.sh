@@ -19,25 +19,29 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go vet ./... =="
 go vet ./...
-echo "== regression gate (lattice/router/geom/lp/lpopt) =="
+echo "== regression gate (lattice/router/geom/ctile/lp/lpopt) =="
 # Fast fail on the targeted regression tests before the full sweep: the
 # rip-up lattice threading, the int32 state-space bound, edge claims
-# against the reference distance test, goal-side refutation against the
-# reference A*, the Oct8.Center containment property, the T-junction
-# connectivity union, the cancellation fingerprint gate, the global-cell
-# bound that keeps stage 3's tables within the lattice, stage 5 leaving
-# mid-path via centers where stage 4 put them, the simplex against exact
-# vertex enumeration, zero-row pricing and analytic chain optima, and
-# Stats.Reverted counting components rather than pinned pairs.
+# against the reference distance test, goal-side refutation, state
+# records and move tables against the reference A*, the hole-sift heap
+# against the swap heap, tile cells and octagon subtraction against the
+# earlier loop and closures, the Oct8.Center containment property, the
+# T-junction connectivity union, the cancellation fingerprint gate, the
+# global-cell bound that keeps stage 3's tables within the lattice, stage
+# 5 leaving mid-path via centers where stage 4 put them, the simplex
+# against exact vertex enumeration, zero-row pricing and analytic chain
+# optima, and Stats.Reverted counting components rather than pinned
+# pairs.
 go test -race -run \
-  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption|TestRouteRejectsOversizedGlobalCells|TestOptimizeKeepsViasFixed|TestMatchesVertexEnumeration|TestZeroRowLP|TestFreeVarChainsAnalytic|TestMediumLPAnalytic|TestRevertedCountsComponents' \
-  ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/layout/ ./internal/lp/ ./internal/lpopt/
-echo "== lattice microbenchmarks: one iteration each =="
-# Keeps BenchmarkNew (pad claims), BenchmarkCommit (wire and via claims)
-# and BenchmarkRoute (a refuted and a successful search) compiling and
-# running; time them with -benchmem and the default -benchtime when
-# comparing two checkouts.
-go test -run '^$' -bench . -benchtime 1x ./internal/lattice
+  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestPQueueMatchesSwapHeap|TestBuildCellMatchesReference|TestAppendSubtractOctMatchesSubtractOct|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption|TestRouteRejectsOversizedGlobalCells|TestOptimizeKeepsViasFixed|TestMatchesVertexEnumeration|TestZeroRowLP|TestFreeVarChainsAnalytic|TestMediumLPAnalytic|TestRevertedCountsComponents' \
+  ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/ctile/ ./internal/layout/ ./internal/lp/ ./internal/lpopt/
+echo "== lattice, tile and octagon microbenchmarks: one iteration each =="
+# Keeps BenchmarkNew (pad claims), BenchmarkCommit (wire and via claims),
+# BenchmarkRoute (a refuted and a successful search), BenchmarkBuildAll
+# and BenchmarkFindCorridor (a routed dense2 tile model) and
+# BenchmarkSubtractOct compiling and running; time them with -benchmem
+# and the default -benchtime when comparing two checkouts.
+go test -run '^$' -bench . -benchtime 1x ./internal/lattice ./internal/ctile ./internal/geom
 echo "== golden quality gate: dense1..5 =="
 # Routed nets, wirelength, lattice fingerprint, tile count, stage split
 # and total A* effort of every Table-I circuit against
