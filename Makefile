@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-short bench bench-compare bench-json bench-scaling bench-portfolio serve serve-smoke metrics-smoke fmt qa qa-metrics fuzz
+.PHONY: build test verify verify-short bench bench-compare bench-json bench-scaling serve serve-smoke metrics-smoke fmt qa qa-metrics fuzz
 
 build:
 	$(GO) build ./...
@@ -42,14 +42,6 @@ bench-json:
 SCALING_JSON ?= BENCH_pr5.json
 bench-scaling:
 	$(GO) run ./cmd/rdlbench -scaling -scaling-workers 1,2,4,8 -json $(SCALING_JSON)
-
-# Ordering-portfolio sweep: each circuit routed with the default
-# single-policy flow and with the first 6 ordering-registry policies
-# raced through stage 4, plus a winner-equals-solo byte-identity check
-# per circuit ("Det" must read "yes" everywhere — see EXPERIMENTS.md).
-PORTFOLIO_JSON ?= BENCH_pr10.json
-bench-portfolio:
-	$(GO) run ./cmd/rdlbench -portfolio -portfolio-k 6 -json $(PORTFOLIO_JSON)
 
 # Boot the HTTP routing service on :8080 (SIGINT/SIGTERM drain gracefully).
 serve:

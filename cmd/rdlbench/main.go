@@ -9,7 +9,6 @@
 //	rdlbench -table1 -quick     # dense1..dense3 only
 //	rdlbench -fig2 -fig5 -fig7
 //	rdlbench -ablation -lpiters
-//	rdlbench -portfolio -portfolio-k 6   # ordering-portfolio vs single-policy sweep
 //	rdlbench -all
 //	rdlbench -all -quick -json results.json   # machine-readable report
 //	rdlbench -table1 -trace t.jsonl -cpuprofile cpu.pprof
@@ -67,8 +66,6 @@ func run() int {
 		all      = flag.Bool("all", false, "run everything (except -scaling, which is its own sweep)")
 		scaling  = flag.Bool("scaling", false, "run the worker-scaling sweep: each circuit at every -scaling-workers count, with a determinism check")
 		scalingW = flag.String("scaling-workers", "1,2,4,8", "comma-separated worker counts for -scaling (first is the speedup baseline)")
-		portRun  = flag.Bool("portfolio", false, "run the ordering-portfolio sweep: each circuit routed single-policy and with -portfolio-k raced policies, with a winner-equals-solo byte-identity check")
-		portK    = flag.Int("portfolio-k", 6, "ordering-registry policies to race for -portfolio (max 16)")
 		quick    = flag.Bool("quick", false, "restrict circuit sweeps to dense1..dense3")
 		workers  = flag.Int("workers", 0, "worker-pool bound inside each run of our flow (0 = GOMAXPROCS, 1 = sequential); results are identical at every value")
 		timeout  = flag.Duration("timeout", 0, `per-circuit routing deadline for the Table-I sweep; timed-out circuits are reported with status "timeout" (0 = none)`)
@@ -82,7 +79,7 @@ func run() int {
 	if *all {
 		*table1, *fig2, *fig5, *fig7, *ablation, *lpiters, *gsize = true, true, true, true, true, true, true
 	}
-	if !*table1 && !*fig2 && !*fig5 && !*fig7 && !*ablation && !*lpiters && !*gsize && !*scaling && !*portRun {
+	if !*table1 && !*fig2 && !*fig5 && !*fig7 && !*ablation && !*lpiters && !*gsize && !*scaling {
 		flag.Usage()
 		return 2
 	}
@@ -263,23 +260,6 @@ func run() int {
 		for _, r := range rows {
 			if !r.Deterministic {
 				fmt.Printf("WARNING %s workers=%d: result diverges from the baseline run\n", r.Name, r.Workers)
-				errCount++
-			}
-		}
-		fmt.Println()
-	}
-
-	if *portRun {
-		fmt.Printf("== Ordering portfolio (first %d registry policies vs single-policy flow) ==\n", *portK)
-		rows, err := bench.RunPortfolio(names, *portK)
-		if die(err) {
-			return 1
-		}
-		rep.Portfolio = rows
-		fmt.Print(bench.FormatPortfolio(rows))
-		for _, r := range rows {
-			if !r.Deterministic {
-				fmt.Printf("WARNING %s: portfolio run diverges from a solo run of its winner (%s)\n", r.Name, r.WinnerName)
 				errCount++
 			}
 		}

@@ -37,23 +37,22 @@ func main() {
 // the process exit code, so no exit path skips them.
 func run() int {
 	var (
-		designIn  = flag.String("design", "", "input design file (rdl-design/v1 JSON)")
-		bench     = flag.String("bench", "", "generate a named benchmark (dense1..dense5) instead of reading a file")
-		flow      = flag.String("flow", "ours", `routing flow: "ours" or "linext"`)
-		check     = flag.Bool("check", false, "run the design-rule checker on the result")
-		noLP      = flag.Bool("no-lp", false, "disable LP-based layout optimization")
-		noW       = flag.Bool("no-weights", false, "disable Eq.(2) chord weights (unweighted MPSC)")
-		noVias    = flag.Bool("no-via-insertion", false, "disable stage-3 via insertion")
-		cells     = flag.Int("cells", 30, "global cells per axis")
-		svg       = flag.String("svg", "", "write the routed layout as SVG to this file")
-		layer     = flag.Int("svg-layer", -1, "restrict the SVG to one wire layer (-1 = all)")
-		oJSON     = flag.String("o", "", "write the routing result (rdl-result/v1 JSON) to this file")
-		heat      = flag.Bool("congest", false, "print per-layer congestion heatmaps")
-		ripup     = flag.Int("ripup", 0, "rip-up-and-reroute rounds (extension beyond the paper; 0 = off)")
-		workers   = flag.Int("workers", 0, "worker-pool bound for the parallel stages of -flow ours (0 = GOMAXPROCS, 1 = sequential); the routed result is identical at every value")
-		portfolio = flag.Int("portfolio", 0, "race the first N ordering-registry policies through the sequential stage and keep the best result (0 = off, max 16); deterministic at any worker count")
-		deltaIn   = flag.String("delta", "", `ECO delta file (rdl-design-delta/v1 JSON): apply the delta to the loaded design and route the edited design (flow "ours" only)`)
-		hashOnly  = flag.Bool("hash", false, "print the design's content hash (sha256 of the canonical rdl-design/v1 bytes, the delta \"base\" field) and exit")
+		designIn = flag.String("design", "", "input design file (rdl-design/v1 JSON)")
+		bench    = flag.String("bench", "", "generate a named benchmark (dense1..dense5) instead of reading a file")
+		flow     = flag.String("flow", "ours", `routing flow: "ours" or "linext"`)
+		check    = flag.Bool("check", false, "run the design-rule checker on the result")
+		noLP     = flag.Bool("no-lp", false, "disable LP-based layout optimization")
+		noW      = flag.Bool("no-weights", false, "disable Eq.(2) chord weights (unweighted MPSC)")
+		noVias   = flag.Bool("no-via-insertion", false, "disable stage-3 via insertion")
+		cells    = flag.Int("cells", 30, "global cells per axis")
+		svg      = flag.String("svg", "", "write the routed layout as SVG to this file")
+		layer    = flag.Int("svg-layer", -1, "restrict the SVG to one wire layer (-1 = all)")
+		oJSON    = flag.String("o", "", "write the routing result (rdl-result/v1 JSON) to this file")
+		heat     = flag.Bool("congest", false, "print per-layer congestion heatmaps")
+		ripup    = flag.Int("ripup", 0, "rip-up-and-reroute rounds (extension beyond the paper; 0 = off)")
+		workers  = flag.Int("workers", 0, "worker-pool bound for the parallel stages of -flow ours (0 = GOMAXPROCS, 1 = sequential); the routed result is identical at every value")
+		deltaIn  = flag.String("delta", "", `ECO delta file (rdl-design-delta/v1 JSON): apply the delta to the loaded design and route the edited design (flow "ours" only)`)
+		hashOnly = flag.Bool("hash", false, "print the design's content hash (sha256 of the canonical rdl-design/v1 bytes, the delta \"base\" field) and exit")
 
 		trace     = flag.String("trace", "", "write a JSONL trace (stage spans, per-net events) to this file")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile (stage-labelled) to this file")
@@ -148,7 +147,6 @@ func run() int {
 		opts.GlobalCells = *cells
 		opts.RipUpRounds = *ripup
 		opts.Workers = *workers
-		opts.OrderPortfolio = *portfolio
 		opts.Tracer = tracer
 		if *deltaIn != "" {
 			df, err := os.Open(*deltaIn)
@@ -191,10 +189,6 @@ func run() int {
 		fmt.Printf("graph       %d octagonal tiles\n", res.TileCount)
 		fmt.Printf("lp          %d iterations, %d components\n", res.LPIterations, res.LPComponents)
 		fmt.Printf("vias        %d\n", res.Layout.ViaCount())
-		if p := res.Portfolio; p != nil {
-			fmt.Printf("portfolio   %d policies raced, winner %d (%s), +%d nets vs policy 0\n",
-				len(p.Candidates), p.Winner, p.WinnerName, p.Candidates[p.Winner].Routed-p.Candidates[0].Routed)
-		}
 		fmt.Printf("runtime     %v\n", res.Runtime)
 	case "linext":
 		opts := rdlroute.DefaultBaselineOptions()

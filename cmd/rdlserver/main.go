@@ -286,10 +286,6 @@ func smokeMetrics(base string) ([]byte, error) {
 		"rdl_cache_hits_total",
 		"rdl_cache_misses_total",
 		"rdl_cache_evictions_total",
-		"rdl_portfolio_raced_total", // ordering-portfolio race telemetry
-		"rdl_portfolio_candidates_total",
-		"rdl_portfolio_winner_index_total", // may legitimately be 0 (policy 0 won)
-		"rdl_portfolio_routed_delta_total",
 	} {
 		if fams[name] == nil {
 			return nil, fmt.Errorf("smoke: family %s missing from /metrics", name)
@@ -297,7 +293,6 @@ func smokeMetrics(base string) ([]byte, error) {
 	}
 	for fam, min := range map[string]float64{
 		"rdl_cache_hits_total": 1, "rdl_cache_misses_total": 1,
-		"rdl_portfolio_raced_total": 1, "rdl_portfolio_candidates_total": 4,
 	} {
 		s, ok := fams[fam].Sample(nil)
 		if !ok || s.Value < min {
@@ -411,35 +406,30 @@ func runSmoke(workers, queue int, printMetrics bool) error {
 	fmt.Printf("smoke: delta job %s routed %d/%d nets, DRC clean\n",
 		dj.ID, dres.RoutedNets, dres.TotalNets)
 
-	// Portfolio job: the same circuit with an ordering portfolio raced
-	// through stage 4. The options differ, so this must be a cache MISS
-	// (the portfolio changes results and splits the cache key), and the
-	// race must populate the rdl_portfolio_* metric families.
-	pBody := fmt.Sprintf(`{"schema":%q,"benchmark":%q,"options":{"schema":%q,"order_portfolio":4}}`,
+	// Net-order job: the same circuit under another ordering-registry
+	// policy. The option changes results, so it must split the cache key:
+	// this is a cache MISS against the first dense1 job.
+	oBody := fmt.Sprintf(`{"schema":%q,"benchmark":%q,"options":{"schema":%q,"net_order":"longest"}}`,
 		serve.JobSchema, "dense1", codec.OptionsSchema)
-	pj, err := submitJob(base, pBody, "")
+	oj, err := submitJob(base, oBody, "")
 	if err != nil {
-		return fmt.Errorf("smoke: portfolio submit: %w", err)
+		return fmt.Errorf("smoke: net-order submit: %w", err)
 	}
-	if pj, err = pollDone(base, pj.ID, 5*time.Minute); err != nil {
+	if oj, err = pollDone(base, oj.ID, 5*time.Minute); err != nil {
 		return err
 	}
-	if err := smokeCacheTag(base, pj.ID, "miss"); err != nil {
+	if err := smokeCacheTag(base, oj.ID, "miss"); err != nil {
 		return err
 	}
-	pres, err := codec.DecodeResult(bytes.NewReader(pj.Result), d)
+	ores, err := codec.DecodeResult(bytes.NewReader(oj.Result), d)
 	if err != nil {
-		return fmt.Errorf("smoke: portfolio result: %w", err)
+		return fmt.Errorf("smoke: net-order result: %w", err)
 	}
-	if v := drc.Check(pres.Layout); len(v) != 0 {
-		return fmt.Errorf("smoke: portfolio result has %d DRC violations; first: %v", len(v), v[0])
+	if v := drc.Check(ores.Layout); len(v) != 0 {
+		return fmt.Errorf("smoke: net-order result has %d DRC violations; first: %v", len(v), v[0])
 	}
-	if pres.RoutedNets < res.RoutedNets {
-		return fmt.Errorf("smoke: portfolio job routed %d nets, single-policy job routed %d (the race must never lose)",
-			pres.RoutedNets, res.RoutedNets)
-	}
-	fmt.Printf("smoke: portfolio job %s raced 4 policies, routability %.1f%%, DRC clean\n",
-		pj.ID, pres.Routability)
+	fmt.Printf("smoke: net-order job %s (longest first) routed %d/%d nets, DRC clean\n",
+		oj.ID, ores.RoutedNets, ores.TotalNets)
 
 	expo, err := smokeMetrics(base)
 	if err != nil {
@@ -453,7 +443,7 @@ func runSmoke(workers, queue int, printMetrics bool) error {
 		return err
 	}
 	fmt.Printf("smoke: flight record for %s complete\n", jv.ID)
-	if err := smokeRetention(base, pj.ID, dj.ID, hit.ID, jv.ID); err != nil {
+	if err := smokeRetention(base, oj.ID, dj.ID, hit.ID, jv.ID); err != nil {
 		return err
 	}
 	fmt.Printf("smoke: flight list holds the 4 jobs newest-first (capacity %d), queue idle\n", smokeFlightSize)

@@ -58,14 +58,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "base seed for -random; design i uses seed+i")
 		parallel   = fs.Int("parallel", 1, "check up to this many -random designs concurrently (0 = GOMAXPROCS); the report is identical at every value")
 		metOut     = fs.String("metrics", "", `with -random: write the sweep's production metrics (per-stage latency, A* effort) as a Prometheus text exposition to this file ("-" = stdout)`)
-		portfolio  = fs.Int("portfolio", 0, "with -random: race the first N ordering-registry policies on every harness routing run (0 = off, max 16)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *randomN > 0 {
-		qa.Portfolio = *portfolio
-		defer func() { qa.Portfolio = 0 }()
 		return runRandom(*randomN, *seed, *parallel, *jsonOut, *metOut, stdout, stderr)
 	}
 	if *designPath == "" || *routesPath == "" {

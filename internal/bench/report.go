@@ -27,7 +27,6 @@ type Report struct {
 	Quality   []QualityRow   `json:"quality,omitempty"`
 	Ablations []AblationRow  `json:"ablations,omitempty"`
 	Scaling   []ScalingRow   `json:"scaling,omitempty"`
-	Portfolio []PortfolioRow `json:"portfolio,omitempty"`
 }
 
 // Table1JSON is one Table-I comparison row flattened for serialization.

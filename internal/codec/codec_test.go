@@ -130,16 +130,16 @@ func TestResultRoundTrip(t *testing.T) {
 
 func TestOptionsRoundTrip(t *testing.T) {
 	// Every ordering-registry policy travels as its registry name.
-	for i := 0; i < router.MaxPortfolio; i++ {
-		opts := router.WithOrderPolicy(router.DefaultOptions(), i)
+	for i := 0; i < router.NumPolicies; i++ {
+		opts := router.DefaultOptions()
+		opts.OrderPolicy = i
 		opts.RipUpRounds = 3
 		opts.EnableLP = false
-		opts.OrderPortfolio = 6
 		var buf bytes.Buffer
 		if err := EncodeOptions(&buf, opts); err != nil {
 			t.Fatal(err)
 		}
-		name := router.PortfolioPolicyName(i)
+		name := router.PolicyName(i)
 		if want := `"net_order": "` + name + `"`; !strings.Contains(buf.String(), want) {
 			t.Errorf("policy %d: encoding lacks %s:\n%s", i, want, buf.String())
 		}
@@ -162,12 +162,16 @@ func TestOptionsRoundTrip(t *testing.T) {
 }
 
 // TestOptionsRemovedKeyIsNoOp pins the versioning rule for removed
-// mechanisms: speculative stage 4 and the settable lattice pitch are
-// gone, so their "speculative" and "pitch" keys are no longer encoded,
-// and documents that still carry them decode exactly as if they were
-// absent — including a pitch the old decoder rejected.
+// mechanisms: speculative stage 4, the settable lattice pitch and the
+// ordering-portfolio race are gone, so their "speculative", "pitch" and
+// "order_portfolio" keys are no longer encoded, and documents that still
+// carry them decode exactly as if they were absent — including values
+// the old decoder rejected (pitch −5, order_portfolio 17 and −1).
 func TestOptionsRemovedKeyIsNoOp(t *testing.T) {
-	for _, removed := range []struct{ key, val string }{{"speculative", "true"}, {"pitch", "9"}, {"pitch", "-5"}} {
+	for _, removed := range []struct{ key, val string }{
+		{"speculative", "true"}, {"pitch", "9"}, {"pitch", "-5"},
+		{"order_portfolio", "6"}, {"order_portfolio", "17"}, {"order_portfolio", "-1"},
+	} {
 		key, kv := removed.key, `"`+removed.key+`":`+removed.val
 		got, err := DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1",` + kv + `}`))
 		if err != nil {
@@ -284,13 +288,6 @@ func TestDecodeMalformed(t *testing.T) {
 	// Malformed options: unknown net order.
 	_, err = DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","net_order":"random"}`))
 	wantErr(t, err, KindValidate, "net_order")
-
-	// Malformed options: portfolio size beyond the policy registry (a
-	// policy index the registry cannot produce) or negative.
-	_, err = DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","order_portfolio":17}`))
-	wantErr(t, err, KindValidate, "order_portfolio")
-	_, err = DecodeOptions(strings.NewReader(`{"schema":"rdl-options/v1","order_portfolio":-1}`))
-	wantErr(t, err, KindValidate, "order_portfolio")
 
 	// Malformed options: a negative via cost (it would make vias cheaper
 	// than wire) or LP iteration bound (it would skip stage 5 silently).

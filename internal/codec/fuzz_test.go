@@ -56,6 +56,7 @@ func FuzzDecodeOptions(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"schema":"rdl-options/v1"}`))
 	f.Add([]byte(`{"schema":"rdl-options/v1","net_order":"nonsense"}`))
+	// Keys of removed options decode as no-ops, whatever their value.
 	f.Add([]byte(`{"schema":"rdl-options/v1","pitch":-5}`))
 	f.Add([]byte(`{"schema":"rdl-options/v1","order_portfolio":8}`))
 	f.Add([]byte(`{"schema":"rdl-options/v1","order_portfolio":99}`))

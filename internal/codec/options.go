@@ -11,8 +11,8 @@ import (
 // fields keep their router.DefaultOptions value, so an empty document
 // decodes to the paper's experimental configuration. Booleans use
 // pointers to distinguish "absent" from "false". Unknown keys are
-// ignored, so the key of a removed option ("speculative", "pitch") still
-// decodes, as a no-op.
+// ignored, so the key of a removed option ("speculative", "pitch",
+// "order_portfolio") still decodes, as a no-op.
 type optionsDoc struct {
 	Schema         string      `json:"schema"`
 	Weights        *weightsDoc `json:"weights,omitempty"`
@@ -27,11 +27,6 @@ type optionsDoc struct {
 	RipUpRounds    *int        `json:"ripup_rounds,omitempty"`
 	NetOrder       string      `json:"net_order,omitempty"` // ordering-registry policy name
 	Workers        *int        `json:"workers,omitempty"`   // 0 = GOMAXPROCS
-	// OrderPortfolio races the first N ordering-registry policies through
-	// the sequential stage (0 = off, max router.MaxPortfolio). Unlike the
-	// observational knobs above it changes results, so servers fold it
-	// into the result-cache key.
-	OrderPortfolio *int `json:"order_portfolio,omitempty"`
 }
 
 type weightsDoc struct {
@@ -60,9 +55,8 @@ func EncodeOptions(w io.Writer, opts router.Options) error {
 		PeripheralDist: &opts.PeripheralDist,
 		LPMaxIters:     &opts.LPMaxIters,
 		RipUpRounds:    &opts.RipUpRounds,
-		NetOrder:       router.PortfolioPolicyName(opts.OrderPolicy),
+		NetOrder:       router.PolicyName(opts.OrderPolicy),
 		Workers:        &opts.Workers,
-		OrderPortfolio: &opts.OrderPortfolio,
 	}
 	return writeDoc(w, OptionsSchema, doc)
 }
@@ -121,19 +115,12 @@ func optionsFromDoc(doc optionsDoc) (router.Options, error) {
 		}
 		opts.Workers = *doc.Workers
 	}
-	if doc.OrderPortfolio != nil {
-		if *doc.OrderPortfolio < 0 || *doc.OrderPortfolio > router.MaxPortfolio {
-			return opts, invalidf(OptionsSchema, "order_portfolio",
-				"must be in [0, %d], got %d", router.MaxPortfolio, *doc.OrderPortfolio)
-		}
-		opts.OrderPortfolio = *doc.OrderPortfolio
-	}
 	if doc.NetOrder != "" {
 		i, ok := policyIndex(doc.NetOrder)
 		if !ok {
 			return opts, invalidf(OptionsSchema, "net_order",
 				"unknown order %q (want an ordering-registry name: shortest, longest, congested, detour, boundary or shuffle0..shuffle%d)",
-				doc.NetOrder, router.MaxPortfolio-router.NamedPolicies-1)
+				doc.NetOrder, router.NumPolicies-router.NamedPolicies-1)
 		}
 		opts.OrderPolicy = i
 	}
@@ -142,8 +129,8 @@ func optionsFromDoc(doc optionsDoc) (router.Options, error) {
 
 // policyIndex maps an ordering-registry policy name to its index.
 func policyIndex(name string) (int, bool) {
-	for i := 0; i < router.MaxPortfolio; i++ {
-		if router.PortfolioPolicyName(i) == name {
+	for i := 0; i < router.NumPolicies; i++ {
+		if router.PolicyName(i) == name {
 			return i, true
 		}
 	}

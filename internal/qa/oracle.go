@@ -75,12 +75,6 @@ func FullSuite() Suite { return Suite{Codec: true, Cancel: true, Metamorphic: tr
 // with or without one.
 var Tracer obs.Tracer
 
-// Portfolio, when positive, sets Options.OrderPortfolio on every routing
-// run the harness performs (rdlverify -portfolio feeds it), so the whole
-// oracle suite — codec round-trip, cancellation, metamorphic gates —
-// exercises the racing scheduler instead of a single fixed ordering.
-var Portfolio int
-
 // flowOptions is the five-stage configuration the harness routes with:
 // the paper defaults plus the rip-up-and-reroute extension, which the
 // differential gate needs — on adversarial near-minimum-spacing designs
@@ -91,7 +85,6 @@ func flowOptions() router.Options {
 	opts := router.DefaultOptions()
 	opts.RipUpRounds = 3
 	opts.Tracer = Tracer
-	opts.OrderPortfolio = Portfolio
 	return opts
 }
 
@@ -144,17 +137,17 @@ func CheckDesign(d *design.Design, seed int64, suite Suite) (CheckStats, []Failu
 	// the baseline it claims to beat. Sequential ordering is a heuristic,
 	// so before declaring failure the flow gets its full toolbox — the
 	// escalation ladder re-routes with every other named policy of the
-	// router's ordering registry (still with rip-up), the same list the
-	// production portfolio races; a deficit that survives every
-	// configuration may be at most diffRoutedSlack (see the constant for
-	// why strict dominance is false on adversarial instances).
+	// router's ordering registry (still with rip-up); a deficit that
+	// survives every configuration may be at most diffRoutedSlack (see the
+	// constant for why strict dominance is false on adversarial instances).
 	if res.RoutedNets < base.RoutedNets {
 		best := res.RoutedNets
 		for policy := 1; policy < router.NamedPolicies; policy++ {
-			opts := router.WithOrderPolicy(flowOptions(), policy)
+			opts := flowOptions()
+			opts.OrderPolicy = policy
 			if r2, err := router.Route(d, opts); err == nil && r2.RoutedNets > best {
 				best = r2.RoutedNets
-				checkResultOracles(d, "flow-order-"+router.PortfolioPolicyName(policy), r2.Layout, r2.Wirelength, r2.RoutedNets, failf)
+				checkResultOracles(d, "flow-order-"+router.PolicyName(policy), r2.Layout, r2.Wirelength, r2.RoutedNets, failf)
 			}
 			if best >= base.RoutedNets {
 				break

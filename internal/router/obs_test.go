@@ -115,11 +115,9 @@ func TestObsNilTracerLeavesResultBare(t *testing.T) {
 // expansions observed, and the tile adjacency tests and reach-mask
 // rebuilds that kept the graph current reported beside them. Lattice:
 // candidate edges, reference distance tests and edge claims, with the
-// reference tests and claims bounded by the candidates; a portfolio run
-// reports the counts of a solo run of its winner, since the scratch
-// clones the race routes on report nothing. Attaching the tracer must
-// leave the routed result (fingerprint, wires, vias, routed set)
-// identical to an untraced run.
+// reference tests and claims bounded by the candidates. Attaching the
+// tracer must leave the routed result (fingerprint, wires, vias, routed
+// set) identical to an untraced run.
 func TestObsCorridorCounters(t *testing.T) {
 	d := smallDesign()
 	c := obs.NewCollector()
@@ -165,26 +163,6 @@ func TestObsCorridorCounters(t *testing.T) {
 	if ref > tests || claims > tests {
 		t.Errorf("lattice.edge_ref_tests %d and lattice.edge_claims %d, want both at most lattice.edge_tests %d",
 			ref, claims, tests)
-	}
-
-	pc := obs.NewCollector()
-	popts := DefaultOptions()
-	popts.OrderPortfolio = 3
-	popts.Tracer = pc
-	pres, err := Route(d, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := obs.NewCollector()
-	sopts := WithOrderPolicy(DefaultOptions(), pres.Portfolio.Winner)
-	sopts.Tracer = sc
-	if _, err := Route(d, sopts); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range edgeCounters {
-		if p, s := pc.Counter(name), sc.Counter(name); p != s {
-			t.Errorf("%s: portfolio run %d, solo run of the winner %d", name, p, s)
-		}
 	}
 }
 

@@ -1,27 +1,23 @@
 package router
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
-	"rdlroute/internal/par"
 )
 
 // The ordering-policy registry. Stage 4 commits nets one at a time, so
 // routability hinges on the commit order; the registry is the single
-// list of orderings the flow knows — Options.OrderPolicy, the portfolio
-// racer and the qa escalation ladder all draw from it, so qa exercises
-// exactly the policies production races.
+// list of orderings the flow knows — Options.OrderPolicy and the qa
+// escalation ladder both draw from it, so qa exercises exactly the
+// policies a caller can select.
 //
-// Indices and names are part of the deterministic contract: the winner
-// rule breaks ties on the LOWEST policy index, the codec serializes
-// Options.OrderPolicy by name and portfolio sizes as counts of this
-// registry's prefix, and the qa matrix pins counter streams that embed
-// winner indices. Reordering or renaming entries is a semantic change,
-// not a refactor.
+// Indices and names are part of the deterministic contract: the codec
+// serializes Options.OrderPolicy by name, and the recorded per-policy
+// results (EXPERIMENTS.md) name their policies. Reordering or renaming
+// entries is a semantic change, not a refactor.
 const (
 	// NamedPolicies is the number of feature-based heuristics at the
 	// front of the registry: shortest, longest, congested, detour,
@@ -29,41 +25,28 @@ const (
 	// (policy i shuffles with seed i − NamedPolicies).
 	NamedPolicies = 5
 
-	// MaxPortfolio bounds Options.OrderPortfolio: the five named
-	// heuristics plus up to eleven seeded shuffles. The codec rejects
-	// sizes beyond it with a typed validate error, so a wire document
-	// can never reference a policy index this registry cannot produce.
-	MaxPortfolio = 16
+	// NumPolicies is the registry's size and bounds Options.OrderPolicy:
+	// the five named heuristics plus eleven seeded shuffles.
+	NumPolicies = 16
 )
 
 // netOrderPolicy is one registry entry: a stable name for reports and a
 // sort ordering the stage-4 job queue in place. order must be a
-// permutation (never dropping or duplicating jobs), deterministic, and
-// worker-count-invariant — the portfolio determinism matrix holds every
-// entry to that.
+// permutation (never dropping or duplicating jobs) and deterministic —
+// the policy property tests hold every entry to that.
 type netOrderPolicy struct {
 	name  string
-	order func(ctx context.Context, d *design.Design, jobs []seqJob, workers int) error
+	order func(d *design.Design, jobs []seqJob)
 }
 
-// PortfolioPolicyName names registry policy i ("shortest", "longest",
+// PolicyName names registry policy i ("shortest", "longest",
 // "congested", "detour", "boundary", "shuffle0", "shuffle1", ...).
-// Indices outside [0, MaxPortfolio) yield "invalid".
-func PortfolioPolicyName(i int) string {
-	if i < 0 || i >= MaxPortfolio {
+// Indices outside [0, NumPolicies) yield "invalid".
+func PolicyName(i int) string {
+	if i < 0 || i >= NumPolicies {
 		return "invalid"
 	}
 	return policyByIndex(i).name
-}
-
-// WithOrderPolicy pins stage 4 to the single registry policy i: it sets
-// OrderPolicy and turns the portfolio race off. The qa escalation ladder
-// and the winner-equals-solo oracle route through it: a portfolio run
-// must be byte-identical to WithOrderPolicy(opts, winner).
-func WithOrderPolicy(opts Options, i int) Options {
-	opts.OrderPolicy = i
-	opts.OrderPortfolio = 0
-	return opts
 }
 
 // policyByIndex returns registry entry i. Callers validate the range;
@@ -79,7 +62,7 @@ func policyByIndex(i int) netOrderPolicy {
 	case 4:
 		return netOrderPolicy{name: "boundary", order: orderBoundary}
 	default:
-		if i >= NamedPolicies && i < MaxPortfolio {
+		if i >= NamedPolicies && i < NumPolicies {
 			seed := i - NamedPolicies
 			return netOrderPolicy{
 				name:  fmt.Sprintf("shuffle%d", seed),
@@ -93,7 +76,7 @@ func policyByIndex(i int) netOrderPolicy {
 // jobIDLess is the stable tie-break every policy shares: net ID, then
 // net index. sort.Slice is not stable, so without a total order
 // equal-keyed nets could commit in any order, and byte identity across
-// runs and worker counts would be lost.
+// runs would be lost.
 func jobIDLess(d *design.Design, jobs []seqJob) func(i, j int) bool {
 	return func(i, j int) bool {
 		idi, idj := d.Nets[jobs[i].net].ID, d.Nets[jobs[j].net].ID
@@ -104,7 +87,7 @@ func jobIDLess(d *design.Design, jobs []seqJob) func(i, j int) bool {
 	}
 }
 
-func orderShortest(_ context.Context, d *design.Design, jobs []seqJob, _ int) error {
+func orderShortest(d *design.Design, jobs []seqJob) {
 	idLess := jobIDLess(d, jobs)
 	sort.Slice(jobs, func(i, j int) bool {
 		if jobs[i].direct != jobs[j].direct {
@@ -112,10 +95,9 @@ func orderShortest(_ context.Context, d *design.Design, jobs []seqJob, _ int) er
 		}
 		return idLess(i, j)
 	})
-	return nil
 }
 
-func orderLongest(_ context.Context, d *design.Design, jobs []seqJob, _ int) error {
+func orderLongest(d *design.Design, jobs []seqJob) {
 	idLess := jobIDLess(d, jobs)
 	sort.Slice(jobs, func(i, j int) bool {
 		if jobs[i].direct != jobs[j].direct {
@@ -123,34 +105,27 @@ func orderLongest(_ context.Context, d *design.Design, jobs []seqJob, _ int) err
 		}
 		return idLess(i, j)
 	})
-	return nil
 }
 
 // computeOverlaps fills jobs[i].overlap with the number of other jobs
-// whose bounding boxes intersect job i's. Each index counts its own
-// overlaps against every other net — the same totals the pairwise
-// double-increment formulation produces, but index i writes only
-// jobs[i].overlap, so the O(n²) count fans out on the worker pool
-// without changing the result.
-func computeOverlaps(ctx context.Context, jobs []seqJob, workers int) error {
-	return par.ForEach(ctx, workers, len(jobs), func(i int) error {
-		for j := range jobs {
-			if j != i && jobs[i].bbox.Intersects(jobs[j].bbox) {
+// whose bounding boxes intersect job i's: one rectangle test per pair.
+func computeOverlaps(jobs []seqJob) {
+	for i := range jobs {
+		for j := i + 1; j < len(jobs); j++ {
+			if jobs[i].bbox.Intersects(jobs[j].bbox) {
 				jobs[i].overlap++
+				jobs[j].overlap++
 			}
 		}
-		return nil
-	})
+	}
 }
 
 // orderCongested routes nets whose bounding boxes overlap the most other
 // nets first (hardest-first). Equal overlap counts fall back to the
 // stable identity tie-break — the pinned tie regression holds two
-// equal-overlap nets to ID order at every worker count.
-func orderCongested(ctx context.Context, d *design.Design, jobs []seqJob, workers int) error {
-	if err := computeOverlaps(ctx, jobs, workers); err != nil {
-		return err
-	}
+// equal-overlap nets to ID order.
+func orderCongested(d *design.Design, jobs []seqJob) {
+	computeOverlaps(jobs)
 	idLess := jobIDLess(d, jobs)
 	sort.Slice(jobs, func(i, j int) bool {
 		if jobs[i].overlap != jobs[j].overlap {
@@ -158,7 +133,6 @@ func orderCongested(ctx context.Context, d *design.Design, jobs []seqJob, worker
 		}
 		return idLess(i, j)
 	})
-	return nil
 }
 
 // orderDetour routes the nets most likely to be forced into detours
@@ -168,10 +142,8 @@ func orderCongested(ctx context.Context, d *design.Design, jobs []seqJob, worker
 // The score is a ratio of exact inputs (an integer count over an exact
 // octilinear distance), so equal scores are equal by construction, not by
 // float coincidence, and the identity tie-break keeps the order total.
-func orderDetour(ctx context.Context, d *design.Design, jobs []seqJob, workers int) error {
-	if err := computeOverlaps(ctx, jobs, workers); err != nil {
-		return err
-	}
+func orderDetour(d *design.Design, jobs []seqJob) {
+	computeOverlaps(jobs)
 	idLess := jobIDLess(d, jobs)
 	score := func(i int) float64 {
 		den := jobs[i].direct
@@ -187,7 +159,6 @@ func orderDetour(ctx context.Context, d *design.Design, jobs []seqJob, workers i
 		}
 		return idLess(i, j)
 	})
-	return nil
 }
 
 // boundaryDist is the distance from the net's nearer pad to the nearest
@@ -205,14 +176,13 @@ func boundaryDist(d *design.Design, jb seqJob) int64 {
 // near the outline has the fewest escape directions, so letting interior
 // nets commit first can wall it in. Ties (same distance ring) break on
 // identity.
-func orderBoundary(_ context.Context, d *design.Design, jobs []seqJob, _ int) error {
+func orderBoundary(d *design.Design, jobs []seqJob) {
 	idLess := jobIDLess(d, jobs)
 	keys := make([]int64, len(jobs))
 	for i := range jobs {
 		keys[i] = boundaryDist(d, jobs[i])
 	}
 	sort.Sort(&keyedJobs{jobs: jobs, keys: keys, idLess: idLess})
-	return nil
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche over uint64,
@@ -228,11 +198,11 @@ func mix64(x uint64) uint64 {
 
 // orderShuffle builds the seeded deterministic shuffle policy: each job
 // keys on a hash of (seed, net ID) and sorts by key. The same seed and
-// net set always produce the same order at any worker count; different
-// seeds decorrelate, which is the point — shuffles buy the portfolio
-// coverage of orderings no feature-based heuristic proposes.
-func orderShuffle(seed int) func(context.Context, *design.Design, []seqJob, int) error {
-	return func(_ context.Context, d *design.Design, jobs []seqJob, _ int) error {
+// net set always produce the same order; different seeds decorrelate,
+// which is the point — shuffles cover orderings no feature-based
+// heuristic proposes.
+func orderShuffle(seed int) func(*design.Design, []seqJob) {
+	return func(d *design.Design, jobs []seqJob) {
 		idLess := jobIDLess(d, jobs)
 		base := mix64(uint64(seed)*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03)
 		keys := make([]int64, len(jobs))
@@ -240,7 +210,6 @@ func orderShuffle(seed int) func(context.Context, *design.Design, []seqJob, int)
 			keys[i] = int64(mix64(base ^ uint64(int64(d.Nets[jobs[i].net].ID)+1)))
 		}
 		sort.Sort(&keyedJobs{jobs: jobs, keys: keys, idLess: idLess})
-		return nil
 	}
 }
 

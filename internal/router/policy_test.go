@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -11,14 +10,8 @@ import (
 
 // orderedIDs builds the stage-4 job queue for d under registry policy p
 // and returns the committed net-ID sequence.
-func orderedIDs(t *testing.T, d *design.Design, policy, workers int) []int {
-	t.Helper()
-	opts := WithOrderPolicy(DefaultOptions(), policy)
-	opts.Workers = workers
-	jobs, err := buildSeqJobs(context.Background(), d, layout.New(d), opts)
-	if err != nil {
-		t.Fatalf("policy %d (%s): buildSeqJobs: %v", policy, PortfolioPolicyName(policy), err)
-	}
+func orderedIDs(d *design.Design, policy int) []int {
+	jobs := buildSeqJobs(d, layout.New(d), policy)
 	ids := make([]int, len(jobs))
 	for i, jb := range jobs {
 		ids[i] = d.Nets[jb.net].ID
@@ -31,38 +24,19 @@ func orderedIDs(t *testing.T, d *design.Design, policy, workers int) []int {
 // permutation of the net set.
 func TestPoliciesArePermutations(t *testing.T) {
 	d := genDense1(t)
-	for policy := 0; policy < MaxPortfolio; policy++ {
-		ids := orderedIDs(t, d, policy, 1)
+	for policy := 0; policy < NumPolicies; policy++ {
+		ids := orderedIDs(d, policy)
 		if len(ids) != len(d.Nets) {
 			t.Fatalf("policy %d (%s): %d jobs for %d nets",
-				policy, PortfolioPolicyName(policy), len(ids), len(d.Nets))
+				policy, PolicyName(policy), len(ids), len(d.Nets))
 		}
 		seen := make(map[int]bool, len(ids))
 		for _, id := range ids {
 			if seen[id] {
 				t.Fatalf("policy %d (%s): net ID %d appears twice",
-					policy, PortfolioPolicyName(policy), id)
+					policy, PolicyName(policy), id)
 			}
 			seen[id] = true
-		}
-	}
-}
-
-// TestPoliciesWorkerInvariant: the ordering a policy produces must not
-// depend on the worker count its (possibly parallel) feature computation
-// fans out on.
-func TestPoliciesWorkerInvariant(t *testing.T) {
-	d := genDense1(t)
-	for policy := 0; policy < MaxPortfolio; policy++ {
-		base := orderedIDs(t, d, policy, 1)
-		for _, workers := range []int{2, 8} {
-			got := orderedIDs(t, d, policy, workers)
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("policy %d (%s): order diverges at position %d with %d workers: net %d vs %d",
-						policy, PortfolioPolicyName(policy), i, workers, got[i], base[i])
-				}
-			}
 		}
 	}
 }
@@ -82,13 +56,13 @@ func TestPoliciesStableUnderRenumbering(t *testing.T) {
 	if err := pd.Validate(); err != nil {
 		t.Fatalf("shuffled design fails Validate: %v", err)
 	}
-	for policy := 0; policy < MaxPortfolio; policy++ {
-		base := orderedIDs(t, d, policy, 1)
-		got := orderedIDs(t, &pd, policy, 1)
+	for policy := 0; policy < NumPolicies; policy++ {
+		base := orderedIDs(d, policy)
+		got := orderedIDs(&pd, policy)
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("policy %d (%s): ID sequence changed under renumbering at position %d: %d vs %d",
-					policy, PortfolioPolicyName(policy), i, got[i], base[i])
+					policy, PolicyName(policy), i, got[i], base[i])
 			}
 		}
 	}
@@ -96,21 +70,10 @@ func TestPoliciesStableUnderRenumbering(t *testing.T) {
 
 // TestCongestedTieBreakPinned is the pinned regression for the congested
 // ordering's tie rule: nets with equal overlap counts must commit in net
-// ID order — not map-iteration or sort-instability order — and the whole
-// sequence must be identical at workers 1, 2 and 8.
+// ID order — not map-iteration or sort-instability order.
 func TestCongestedTieBreakPinned(t *testing.T) {
 	d := genDense1(t)
-	opts := WithOrderPolicy(DefaultOptions(), 2) // congested
-	jobsAt := func(workers int) []seqJob {
-		o := opts
-		o.Workers = workers
-		jobs, err := buildSeqJobs(context.Background(), d, layout.New(d), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jobs
-	}
-	base := jobsAt(1)
+	base := buildSeqJobs(d, layout.New(d), 2) // congested
 	ties := 0
 	for i := 1; i < len(base); i++ {
 		if base[i].overlap == base[i-1].overlap {
@@ -124,22 +87,14 @@ func TestCongestedTieBreakPinned(t *testing.T) {
 	if ties == 0 {
 		t.Fatal("dense1 produced no equal-overlap ties; the regression pins nothing")
 	}
-	for _, workers := range []int{2, 8} {
-		got := jobsAt(workers)
-		for i := range base {
-			if got[i].net != base[i].net || got[i].overlap != base[i].overlap {
-				t.Fatalf("congested order diverges at position %d with %d workers", i, workers)
-			}
-		}
-	}
 }
 
 // TestShuffleSeedsDiffer: distinct shuffle seeds must produce distinct
-// orderings — identical shuffles would waste portfolio slots silently.
+// orderings — identical shuffles would waste registry entries silently.
 func TestShuffleSeedsDiffer(t *testing.T) {
 	d := genDense1(t)
-	a := orderedIDs(t, d, NamedPolicies, 1)
-	b := orderedIDs(t, d, NamedPolicies+1, 1)
+	a := orderedIDs(d, NamedPolicies)
+	b := orderedIDs(d, NamedPolicies+1)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -160,14 +115,14 @@ func TestPolicyNames(t *testing.T) {
 		5: "shuffle0", 15: "shuffle10",
 	}
 	for i, name := range want {
-		if got := PortfolioPolicyName(i); got != name {
-			t.Errorf("PortfolioPolicyName(%d) = %q, want %q", i, got, name)
+		if got := PolicyName(i); got != name {
+			t.Errorf("PolicyName(%d) = %q, want %q", i, got, name)
 		}
 	}
-	if got := PortfolioPolicyName(-1); got != "invalid" {
-		t.Errorf("PortfolioPolicyName(-1) = %q, want invalid", got)
+	if got := PolicyName(-1); got != "invalid" {
+		t.Errorf("PolicyName(-1) = %q, want invalid", got)
 	}
-	if got := PortfolioPolicyName(MaxPortfolio); got != "invalid" {
-		t.Errorf("PortfolioPolicyName(MaxPortfolio) = %q, want invalid", got)
+	if got := PolicyName(NumPolicies); got != "invalid" {
+		t.Errorf("PolicyName(NumPolicies) = %q, want invalid", got)
 	}
 }

@@ -45,29 +45,13 @@ type Options struct {
 	// OrderPolicy is the ordering-registry index (policy.go) of the
 	// sequential-stage net order: 0 routes shortest nets first (the
 	// default), 1 longest first, 2 most-congested first, and so on up to
-	// MaxPortfolio-1. Values outside [0, MaxPortfolio) are rejected.
+	// NumPolicies-1. Values outside [0, NumPolicies) are rejected.
 	OrderPolicy int
 
-	// OrderPortfolio, when positive, races the first OrderPortfolio
-	// policies of the ordering registry through stage 4: each candidate
-	// runs the full sequential loop (plus rip-up, when enabled) on its own
-	// scratch lattice/model clone across the worker pool, a fixed total
-	// rule picks the winner (routed nets desc, wirelength asc, lowest
-	// policy index), and only the winner is replayed on the real lattice
-	// with the real tracer attached. The result is byte-identical at any
-	// worker count and equals a solo run of the winning policy. Values
-	// above MaxPortfolio are rejected; 0 disables racing and stage 4 uses
-	// OrderPolicy directly. When racing is on, OrderPolicy is ignored
-	// (policy 0, shortest-first, anchors the portfolio as the baseline
-	// candidate).
-	OrderPortfolio int
-
-	// Workers bounds the worker pool the flow's data-parallel stages fan
-	// out on: the stage-3 tile warm-up, the congested-order overlap count
-	// and the portfolio race. 0 means
-	// GOMAXPROCS, 1 forces the plain sequential path. Results are
-	// byte-identical at every value — the qa determinism matrix holds the
-	// flow to that contract.
+	// Workers bounds the worker pool of the stage-3 tile warm-up, the
+	// flow's one data-parallel step. 0 means GOMAXPROCS, 1 forces the
+	// plain sequential path. Results are byte-identical at every value —
+	// the qa determinism matrix holds the flow to that contract.
 	Workers int
 
 	// Tracer, when non-nil, receives stage spans (tagged with pprof
@@ -125,12 +109,6 @@ type Result struct {
 	// Options.Tracer can produce one (the in-memory Collector, or a Multi
 	// containing one); nil otherwise.
 	Obs *obs.Snapshot
-
-	// Portfolio describes the ordering-portfolio race when
-	// Options.OrderPortfolio was positive; nil otherwise. Like Obs it is
-	// diagnostic output and is not part of the rdl-result/v1 wire format —
-	// encoded result bytes stay comparable across portfolio and solo runs.
-	Portfolio *PortfolioReport
 }
 
 // Route runs the full flow on the design.
@@ -170,11 +148,8 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 	if opts.GlobalCells == 0 {
 		opts.GlobalCells = 30
 	}
-	if opts.OrderPortfolio < 0 || opts.OrderPortfolio > MaxPortfolio {
-		return nil, nil, fmt.Errorf("router: order portfolio %d out of range [0, %d]", opts.OrderPortfolio, MaxPortfolio)
-	}
-	if opts.OrderPolicy < 0 || opts.OrderPolicy >= MaxPortfolio {
-		return nil, nil, fmt.Errorf("router: order policy %d out of range [0, %d)", opts.OrderPolicy, MaxPortfolio)
+	if opts.OrderPolicy < 0 || opts.OrderPolicy >= NumPolicies {
+		return nil, nil, fmt.Errorf("router: order policy %d out of range [0, %d)", opts.OrderPolicy, NumPolicies)
 	}
 	// A global cell narrower than one lattice pitch holds no track; the
 	// upper bound also keeps stage 3's per-cell tile tables no larger than
@@ -248,19 +223,7 @@ func route(ctx context.Context, d *design.Design, opts Options) (*Result, *latti
 
 	// Stage 4: Sequential A*-search routing on the tile graph.
 	end = obs.Stage(tr, "sequential")
-	var seqErr error
-	if opts.OrderPortfolio > 0 {
-		// Portfolio racing: candidates run silently on scratch clones,
-		// then the winner is replayed here on the real lattice. Pin the
-		// rest of the flow (the rip-up rounds below) to the winning
-		// policy so the whole run stays byte-identical to a solo run of
-		// that policy.
-		var win int
-		win, seqErr = portfolioRoute(ctx, d, model, sites, la, lay, opts, res, tr)
-		opts = WithOrderPolicy(opts, win)
-	} else {
-		seqErr = sequentialRoute(ctx, d, model, sites, la, lay, opts, res, tr)
-	}
+	seqErr := sequentialRoute(ctx, d, model, sites, la, lay, opts, res, tr)
 	model.FlushTrace()
 	la.FlushTrace()
 	end(obs.Int("routed", res.SequentialRouted),
@@ -483,9 +446,8 @@ type seqJob struct {
 }
 
 // buildSeqJobs collects the nets stage 4 must route and sorts them into
-// commit order with the registry policy Options.OrderPolicy names
-// (policy.go).
-func buildSeqJobs(ctx context.Context, d *design.Design, lay *layout.Layout, opts Options) ([]seqJob, error) {
+// commit order with the given ordering-registry policy (policy.go).
+func buildSeqJobs(d *design.Design, lay *layout.Layout, policy int) []seqJob {
 	var jobs []seqJob
 	for ni := range d.Nets {
 		if lay.Routed(ni) {
@@ -495,10 +457,8 @@ func buildSeqJobs(ctx context.Context, d *design.Design, lay *layout.Layout, opt
 		p1, p2 := d.PadCenter(nn.P1), d.PadCenter(nn.P2)
 		jobs = append(jobs, seqJob{net: ni, direct: geom.OctDist(p1, p2), bbox: geom.RectOf(p1, p2)})
 	}
-	if err := policyByIndex(opts.OrderPolicy).order(ctx, d, jobs, opts.Workers); err != nil {
-		return nil, fmt.Errorf("router: %w", err)
-	}
-	return jobs, nil
+	policyByIndex(policy).order(d, jobs)
+	return jobs
 }
 
 // seqViaCost resolves the stage-4 corridor-search via cost.
@@ -516,10 +476,7 @@ func seqViaCost(opts Options) float64 {
 // path crossed (§III-D). It stops with ctx's error at the first cancelled
 // per-net checkpoint.
 func sequentialRoute(ctx context.Context, d *design.Design, model *ctile.Model, sites []ctile.ViaSite, la *lattice.Lattice, lay *layout.Layout, opts Options, res *Result, tr obs.Tracer) error {
-	jobs, err := buildSeqJobs(ctx, d, lay, opts)
-	if err != nil {
-		return err
-	}
+	jobs := buildSeqJobs(d, lay, opts.OrderPolicy)
 	viaCost := seqViaCost(opts)
 	traced := tr.Enabled()
 	for _, jb := range jobs {

@@ -347,10 +347,13 @@ func TestRipUpRecoversNets(t *testing.T) {
 	}
 }
 
+// TestNetOrderStrategies routes a small design under every ordering
+// registry policy, and checks that an index outside the registry fails
+// before any stage runs.
 func TestNetOrderStrategies(t *testing.T) {
 	d := smallDesign()
-	for i := 0; i < MaxPortfolio; i++ {
-		name := PortfolioPolicyName(i)
+	for i := 0; i < NumPolicies; i++ {
+		name := PolicyName(i)
 		opts := DefaultOptions()
 		opts.OrderPolicy = i
 		res, err := Route(d, opts)
@@ -362,6 +365,18 @@ func TestNetOrderStrategies(t *testing.T) {
 		}
 		if vs := drc.Check(res.Layout); len(vs) != 0 {
 			t.Errorf("order %s: violations: %v", name, vs[0])
+		}
+	}
+	for _, i := range []int{-1, NumPolicies} {
+		c := obs.NewCollector()
+		opts := DefaultOptions()
+		opts.OrderPolicy = i
+		opts.Tracer = c
+		if _, err := Route(d, opts); err == nil {
+			t.Errorf("order policy %d accepted", i)
+		}
+		if spans := c.Snapshot().Spans; len(spans) != 0 {
+			t.Errorf("order policy %d: stages ran before the range check: %v", i, spans)
 		}
 	}
 }

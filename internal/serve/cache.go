@@ -79,10 +79,8 @@ func newResultCache(entries int, maxBytes int64, reg *metrics.Registry) *resultC
 // canonical design encoding concatenated with the canonical options
 // encoding, Workers normalized to 0 — the determinism matrix guarantees
 // results are byte-identical at every worker count, so worker count must
-// not split the key space. OrderPortfolio is deliberately NOT normalized:
-// unlike Workers it changes which ordering policy commits the layout, so
-// a portfolio job and a solo job are different results and must not
-// share a cache slot. Returns "" (uncacheable) if either encoding fails.
+// not split the key space. Returns "" (uncacheable) if either encoding
+// fails.
 func cacheKey(d *design.Design, opts router.Options) string {
 	var buf bytes.Buffer
 	if err := codec.EncodeDesign(&buf, d); err != nil {

@@ -129,24 +129,6 @@ func TestCacheKeyNormalizesWorkers(t *testing.T) {
 	}
 }
 
-// TestCacheKeySplitsOnPortfolio: unlike Workers, the ordering
-// portfolio changes which policy commits the layout, so every portfolio
-// size must address its own cache slot.
-func TestCacheKeySplitsOnPortfolio(t *testing.T) {
-	d := dense1(t)
-	solo := router.DefaultOptions()
-	port := router.DefaultOptions()
-	port.OrderPortfolio = 6
-	if cacheKey(d, solo) == cacheKey(d, port) {
-		t.Error("cache key ignores the ordering portfolio")
-	}
-	wider := router.DefaultOptions()
-	wider.OrderPortfolio = 8
-	if cacheKey(d, port) == cacheKey(d, wider) {
-		t.Error("cache key conflates different portfolio sizes")
-	}
-}
-
 // TestCacheHitMintsJobAndFlight is the regression test for the
 // idempotency interaction: a resubmission of identical content under a
 // NEW idempotency key is a cache hit, but it must still mint a fresh job

@@ -30,10 +30,12 @@ echo "== regression gate (lattice/router/geom/ctile/lp/lpopt) =="
 # global-cell bound that keeps stage 3's tables within the lattice, stage
 # 5 leaving mid-path via centers where stage 4 put them, the simplex
 # against exact vertex enumeration, zero-row pricing and analytic chain
-# optima, and Stats.Reverted counting components rather than pinned
-# pairs.
+# optima, Stats.Reverted counting components rather than pinned pairs,
+# and the ordering registry: every policy a permutation keyed on net
+# geometry and ID, the congested tie-break, every policy routing
+# DRC-clean and an out-of-range policy rejected before any stage runs.
 go test -race -run \
-  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestPQueueMatchesSwapHeap|TestBuildCellMatchesReference|TestAppendSubtractOctMatchesSubtractOct|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption|TestRouteRejectsOversizedGlobalCells|TestOptimizeKeepsViasFixed|TestMatchesVertexEnumeration|TestZeroRowLP|TestFreeVarChainsAnalytic|TestMediumLPAnalytic|TestRevertedCountsComponents' \
+  'TestRipUpLatticeMatchesLayout|TestNewRejectsStateSpaceBeyondInt32|TestStateSpaceNoOverflow|TestFingerprintCommitOrderIndependent|TestEdgeClaimsMatchReference|TestRouteMatchesReference|TestPQueueMatchesSwapHeap|TestBuildCellMatchesReference|TestAppendSubtractOctMatchesSubtractOct|TestCenterContainedProperty|TestCenterDegenerate|TestConnectedTJunction|TestCancelLeavesNoCorruption|TestRouteRejectsOversizedGlobalCells|TestOptimizeKeepsViasFixed|TestMatchesVertexEnumeration|TestZeroRowLP|TestFreeVarChainsAnalytic|TestMediumLPAnalytic|TestRevertedCountsComponents|TestPolicies|TestCongestedTieBreakPinned|TestNetOrderStrategies' \
   ./internal/lattice/ ./internal/router/ ./internal/geom/ ./internal/ctile/ ./internal/layout/ ./internal/lp/ ./internal/lpopt/
 echo "== lattice, tile and octagon microbenchmarks: one iteration each =="
 # Keeps BenchmarkNew (pad claims), BenchmarkCommit (wire and via claims),
@@ -60,6 +62,8 @@ echo "== rdlserver smoke: route dense1 over HTTP, DRC-check, scrape /metrics =="
 # the in-repo parser (failing on malformed or empty output, or missing
 # families), fetches the job's flight record, and checks the flight list
 # (configured capacity, all four jobs newest-first) and an idle /healthz.
+# Its fourth job sets "net_order":"longest", a result-changing option, so
+# it must miss the cache.
 go run ./cmd/rdlserver -smoke
 echo "== file pipeline: rdlgen -> rdlroute (both flows) -> rdlverify =="
 # Every file the CLIs exchange is an rdl-*/v1 document: rdlgen writes the
@@ -87,17 +91,6 @@ echo "== determinism matrix: workers 1/2/8 at GOMAXPROCS=2 (-race) =="
 GOMAXPROCS=2 go test -race -count=1 -run \
   'TestWorkerDeterminism|TestCancelMidParallelStage|TestConcurrentEmit' \
   ./internal/qa/ ./internal/router/ ./internal/obs/ ./internal/par/
-echo "== portfolio gate: ordering race == solo winner at GOMAXPROCS=2 (-race) =="
-# The ordering-portfolio contract: racing K policies is byte-identical to
-# a solo run of the winning policy at every worker count, every policy
-# orders the queue as a worker-invariant permutation keyed on net
-# geometry and ID, and the pinned seeds keep exercising a genuine
-# routability win (seed 5) and a wirelength-only tie-break (seed 11).
-# Race-capped subset; the dense portfolio matrix runs race-free in the
-# qa sweep below.
-GOMAXPROCS=2 go test -race -count=1 -run \
-  'TestPortfolioDeterminismRandom|TestRegressionPortfolio|TestPortfolioMonotonicitySolo|TestPolicies|TestCongestedTieBreakPinned|TestCancelMidPortfolio' \
-  ./internal/qa/ ./internal/router/
 echo "== eco gate: random deltas apply and route clean (-race) =="
 # The delta contract: for seeded random designs and random deltas, the
 # edited design eco.Apply produces validates and routes with every
